@@ -16,7 +16,7 @@ import click
 
 from .document import Document, DocumentError, emit_report, parse, run_task
 from .exact import Matrix, Subspace
-from .filtration import MultiFiltration, compatible_filtrations
+from .filtration import Filtration, MultiFiltration, compatible_filtrations
 from .monodromy import WeightAxiomFailure, monodromy_filtration, verify_weight_axioms
 from .rees import compatibility_via_flatness
 
@@ -174,9 +174,7 @@ def _random_nilpotent(rng: random.Random, dim: int) -> Matrix:
     return Matrix(entries)
 
 
-def _random_filtration_steps(rng: random.Random, dim: int):
-    from .filtration import Filtration
-
+def _random_filtration_steps(rng: random.Random, dim: int) -> Filtration:
     # Cumulative spans of a random vector pool are automatically increasing.
     pool = [
         tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(dim)

@@ -20,19 +20,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exact import GaussianRational, Matrix, Scalar, Subspace
+from .exact import GaussianRational, Immutable, Matrix, Scalar, Subspace
 from .filtration import (
     Filtration,
     MultiFiltration,
     compatible_filtrations,
 )
 from .lefschetz import GradedBilinearStructure, GradedSpace, polarization_check
-from .monodromy import (
-    CenteredFiltration,
-    mf_property,
-    monodromy_filtration,
-    relative_monodromy,
-)
+from .monodromy import mf_property, monodromy_filtration, relative_monodromy
 from .rees import compatibility_via_flatness, koszul_homology, rees_of
 from .fixtures import fixture_nilsson, fixture_summary
 
@@ -208,7 +203,7 @@ def filtration_to_json(f: Filtration) -> Dict[str, object]:
     }
 
 
-def centered_filtration_from_json(obj: object, path: str) -> CenteredFiltration:
+def centered_filtration_from_json(obj: object, path: str) -> Filtration:
     d = _expect_dict(obj, path)
     n = _expect_int(_get(d, "ambient_dim", path), f"{path}.ambient_dim")
     center = _expect_int(d.get("center", 0), f"{path}.center")
@@ -220,12 +215,12 @@ def centered_filtration_from_json(obj: object, path: str) -> CenteredFiltration:
         sub = subspace_from_json(_get(sd, "basis", sp), n, f"{sp}.basis")
         steps.append((idx, sub))
     try:
-        return CenteredFiltration(n, steps, center=center)
+        return Filtration(n, steps, center=center)
     except ValueError as exc:
         raise DocumentError(path, str(exc)) from None
 
 
-def centered_filtration_to_json(f: CenteredFiltration) -> Dict[str, object]:
+def centered_filtration_to_json(f: Filtration) -> Dict[str, object]:
     return {
         "ambient_dim": f.ambient_dim,
         "center": f.center,
@@ -285,7 +280,7 @@ KNOWN_TASKS = (
 )
 
 
-class Document:
+class Document(Immutable):
     """A versioned task document: format tag, task name, payload."""
 
     __slots__ = ("task", "payload")
@@ -295,9 +290,6 @@ class Document:
             raise DocumentError("$.task", f"unknown task {task!r}")
         object.__setattr__(self, "task", task)
         object.__setattr__(self, "payload", payload)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Document is immutable")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -332,7 +324,7 @@ def parse(text: str) -> Document:
     return Document(task, payload)
 
 
-def _centered_summary(f: CenteredFiltration) -> Dict[str, object]:
+def _centered_summary(f: Filtration) -> Dict[str, object]:
     return {
         "center": f.center,
         "jumps": [[k, s.dim] for k, s in f.steps],

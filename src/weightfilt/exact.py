@@ -16,14 +16,30 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-Rational = Fraction
 ScalarLike = Union[int, Fraction, "GaussianRational", str]
 
 
-class GaussianRational:
+class Immutable:
+    """Base of the library's value types: fields are set once, in ``__init__``.
+
+    Subclasses declare their own ``__slots__`` and fill them with
+    ``object.__setattr__``; afterwards assigning or deleting an attribute
+    raises, which keeps cached hashes valid.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GaussianRational(Immutable):
     """A Gaussian rational ``re + im*i`` with exact `Fraction` parts.
 
     The class interoperates with `int` and `Fraction` in either operand
@@ -45,9 +61,6 @@ class GaussianRational:
     def __init__(self, re: ScalarLike = 0, im: ScalarLike = 0) -> None:
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GaussianRational is immutable")
 
     # -- helpers ---------------------------------------------------------
 
@@ -158,8 +171,8 @@ I = GaussianRational(0, 1)
 
 
 def as_scalar(x: ScalarLike) -> Scalar:
-    """Coerce ints/strings to `Fraction`; pass Gaussian rationals through."""
-    if isinstance(x, GaussianRational):
+    """Coerce ints/strings to `Fraction`; pass exact scalars through."""
+    if isinstance(x, (Fraction, GaussianRational)):
         return x
     return Fraction(x)
 
@@ -224,7 +237,7 @@ def rank_of_rows(rows: Sequence[Sequence[Scalar]]) -> int:
         for x in row:
             if isinstance(x, GaussianRational):
                 return len(rref(rows)[0])
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
+            scale = scale * x.denominator // gcd(scale, x.denominator)
         for x in row:
             ints.append(x.numerator * (scale // x.denominator))
         if any(ints):
@@ -260,12 +273,6 @@ def rank_of_rows(rows: Sequence[Sequence[Scalar]]) -> int:
     return rank
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def solve_columns(
     cols: Sequence[Vector], target: Vector
 ) -> Optional[Tuple[Scalar, ...]]:
@@ -287,7 +294,7 @@ def solve_columns(
     return tuple(coeffs)
 
 
-class Matrix:
+class Matrix(Immutable):
     """An immutable exact matrix.
 
     >>> m = Matrix.from_rows([[0, 1], [0, 0]])
@@ -303,7 +310,9 @@ class Matrix:
 
     def __init__(self, entries: Sequence[Sequence[ScalarLike]], rows: Optional[int] = None, cols: Optional[int] = None) -> None:
         grid = tuple(tuple(as_scalar(x) for x in row) for row in entries)
-        nrows = len(grid) if rows is None else rows
+        nrows = len(grid)
+        if rows is not None and rows != nrows:
+            raise ValueError(f"matrix has {nrows} rows, not {rows}")
         ncols = (len(grid[0]) if grid else 0) if cols is None else cols
         for row in grid:
             if len(row) != ncols:
@@ -312,9 +321,6 @@ class Matrix:
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "_hash", hash((nrows, ncols, grid)))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Matrix is immutable")
 
     # -- constructors ----------------------------------------------------
 
@@ -476,7 +482,7 @@ class Matrix:
         return f"Matrix({[[str(x) for x in row] for row in self.entries]})"
 
 
-class Subspace:
+class Subspace(Immutable):
     """A linear subspace with a canonical reduced-row-echelon basis.
 
     Canonicalization makes equality (and hashing) structural: two subspaces
@@ -505,9 +511,6 @@ class Subspace:
         object.__setattr__(self, "basis", canon)
         object.__setattr__(self, "_pivots", tuple(pivots))
         object.__setattr__(self, "_hash", hash((ambient_dim, canon)))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Subspace is immutable")
 
     # -- constructors ----------------------------------------------------
 
@@ -591,10 +594,8 @@ class Subspace:
         """Vectors of ``larger`` extending this basis (deterministic choice)."""
         if not larger.contains(self):
             raise ValueError("can only extend inside a containing subspace")
-        stack = [list(b) for b in self.basis]
         out: List[Vector] = []
-        reduced, _ = rref(stack) if stack else ([], [])
-        current = Subspace(self.ambient_dim, self.basis)
+        current = self
         for v in larger.basis:
             r = current.reduce_vector(v)
             if any(r):
@@ -658,28 +659,6 @@ def _sum_and_intersection(u: Subspace, w: Subspace) -> Tuple[Subspace, Subspace]
     return Subspace(n, sum_rows), Subspace(n, int_rows)
 
 
-def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
-    """Smallest subspace containing both summands.
-
-    >>> e1 = Subspace.span([(1, 0)], 2)
-    >>> e2 = Subspace.span([(0, 1)], 2)
-    >>> subspace_sum(e1, e2).is_full()
-    True
-    """
-    return u.sum(w)
-
-
-def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
-    """Largest subspace contained in both operands.
-
-    >>> a = Subspace.span([(1, 0, 0), (0, 1, 0)], 3)
-    >>> b = Subspace.span([(0, 1, 0), (0, 0, 1)], 3)
-    >>> subspace_intersect(a, b) == Subspace.span([(0, 1, 0)], 3)
-    True
-    """
-    return u.intersect(w)
-
-
 def sum_of(spaces: Sequence[Subspace], ambient_dim: int) -> Subspace:
     out = Subspace.zero(ambient_dim)
     for s in spaces:
@@ -715,22 +694,7 @@ def image_of(m: Matrix) -> Subspace:
     return Subspace(m.rows, [m.column(j) for j in range(m.cols)])
 
 
-def map_kernel_image(m: Matrix) -> Tuple[Subspace, Subspace]:
-    """Kernel and image of a matrix; rank-nullity is checked on the way out.
-
-    >>> j3 = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    >>> ker, im = map_kernel_image(j3)
-    >>> ker.dim, im.dim
-    (1, 2)
-    """
-    ker = kernel_of(m)
-    im = image_of(m)
-    if ker.dim + im.dim != m.cols:
-        raise AssertionError("rank-nullity violated; elimination bug")
-    return ker, im
-
-
-class QuotientPresentation:
+class QuotientPresentation(Immutable):
     """A subquotient ``sub/den`` presented by explicit coset representatives.
 
     Representatives are chosen deterministically (reduced against the
@@ -765,9 +729,6 @@ class QuotientPresentation:
         object.__setattr__(self, "reps", tuple(reps))
         object.__setattr__(self, "ambient_dim", sub.ambient_dim)
         object.__setattr__(self, "_solver_rows", tuple(reps) + den.basis)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("QuotientPresentation is immutable")
 
     @property
     def dim(self) -> int:
@@ -831,11 +792,6 @@ def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
     return Matrix.from_columns(cols, s.dim)
 
 
-def operator_on_quotient(m: Matrix, q: QuotientPresentation) -> Matrix:
-    """Matrix induced by ``m`` on a subquotient that it preserves."""
-    return q.induced_matrix(m, q)
-
-
 def exp_nilpotent(m: Matrix) -> Matrix:
     """Exact exponential of a nilpotent matrix (the series terminates)."""
     if not m.is_square():
@@ -857,7 +813,7 @@ def is_symmetric(m: Matrix) -> bool:
     return m.is_square() and m == m.transpose()
 
 
-class PositivityCertificate:
+class PositivityCertificate(Immutable):
     """Outcome of an exact positive-definiteness test.
 
     ``witness`` is the 0-based pivot index at which definiteness failed
@@ -870,9 +826,6 @@ class PositivityCertificate:
         object.__setattr__(self, "positive", positive)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "pivots", pivots)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PositivityCertificate is immutable")
 
     def __bool__(self) -> bool:
         return self.positive
@@ -913,11 +866,3 @@ def is_positive_definite(m: Matrix) -> PositivityCertificate:
                     work[i][j] = work[i][j] - f * work[k][j]
     return PositivityCertificate(True, None, tuple(pivots))
 
-
-def hermitian_transpose(m: Matrix) -> Matrix:
-    """Conjugate transpose for Gaussian-rational matrices."""
-    def conj(x: Scalar) -> Scalar:
-        return x.conjugate() if isinstance(x, GaussianRational) else x
-
-    t = m.transpose()
-    return Matrix([[conj(x) for x in row] for row in t.entries], t.rows, t.cols)

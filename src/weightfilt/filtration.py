@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import floor
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import (
+    Immutable,
     Matrix,
     QuotientPresentation,
     Subspace,
@@ -30,7 +31,7 @@ from .exact import (
 )
 
 
-class IndexLattice:
+class IndexLattice(Immutable):
     """The index set ``S + Z`` for a finite set ``S`` of fractional offsets.
 
     ``S`` always contains 0, and the order-preserving enumeration ``phi``
@@ -51,9 +52,6 @@ class IndexLattice:
             if not 0 <= f < 1:
                 raise ValueError("fractional offsets must lie in [0, 1)")
         object.__setattr__(self, "fracs", tuple(fs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IndexLattice is immutable")
 
     def __len__(self) -> int:
         return len(self.fracs)
@@ -90,13 +88,24 @@ class IndexLattice:
         return f"IndexLattice({[str(f) for f in self.fracs]})"
 
 
-class Filtration:
+Index = Union[int, Fraction]
+
+
+def _index(x: object) -> Index:
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+class Filtration(Immutable):
     """An increasing exhaustive filtration with finitely many jumps.
 
     Only the strict jumps are stored: ``steps`` is a sorted tuple of
     ``(index, subspace)`` pairs with strictly growing subspaces, the value
     below the first jump is the zero subspace, and the last value must be
-    the full ambient space.
+    the full ambient space.  Indices are rational: `int` indices stay `int`
+    (weight filtrations are integer-indexed) and all others are stored as
+    `Fraction`.  ``center`` records the symmetry point of a weight
+    filtration (the graded pieces at ``center + l`` and ``center - l``
+    match up); it takes part in ``==`` but not in `same_subspaces`.
 
     >>> line = Subspace.span([(1, 0)], 2)
     >>> f = Filtration.from_jumps(2, [(Fraction(0), line), (Fraction(1), Subspace.full(2))])
@@ -108,11 +117,16 @@ class Filtration:
     (Fraction(0, 1), Fraction(1, 1))
     """
 
-    __slots__ = ("ambient_dim", "steps", "_hash")
+    __slots__ = ("ambient_dim", "steps", "center", "_hash")
 
-    def __init__(self, ambient_dim: int, steps: Sequence[Tuple[Fraction, Subspace]]) -> None:
-        pairs = sorted(((Fraction(x), s) for x, s in steps), key=lambda p: p[0])
-        canon: List[Tuple[Fraction, Subspace]] = []
+    def __init__(
+        self,
+        ambient_dim: int,
+        steps: Sequence[Tuple[Index, Subspace]],
+        center: Index = 0,
+    ) -> None:
+        pairs = sorted(((_index(x), s) for x, s in steps), key=lambda p: p[0])
+        canon: List[Tuple[Index, Subspace]] = []
         prev = Subspace.zero(ambient_dim)
         for x, s in pairs:
             if s.ambient_dim != ambient_dim:
@@ -127,28 +141,26 @@ class Filtration:
         if ambient_dim > 0:
             if not canon or not canon[-1][1].is_full():
                 raise ValueError("filtration is not exhaustive (top value must be full)")
+        center = _index(center)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "steps", tuple(canon))
-        object.__setattr__(self, "_hash", hash((ambient_dim, tuple(canon))))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Filtration is immutable")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "_hash", hash((ambient_dim, tuple(canon), center)))
 
     @classmethod
-    def from_jumps(cls, ambient_dim: int, steps: Sequence[Tuple[Fraction, Subspace]]) -> "Filtration":
+    def from_jumps(cls, ambient_dim: int, steps: Sequence[Tuple[Index, Subspace]]) -> "Filtration":
         return cls(ambient_dim, steps)
 
     @classmethod
-    def trivial(cls, ambient_dim: int, at: Fraction = Fraction(0)) -> "Filtration":
+    def trivial(cls, ambient_dim: int, at: Index = Fraction(0)) -> "Filtration":
         """The one-jump filtration 0 -> V at the given index."""
         if ambient_dim == 0:
             return cls(0, [])
-        return cls(ambient_dim, [(Fraction(at), Subspace.full(ambient_dim))])
+        return cls(ambient_dim, [(at, Subspace.full(ambient_dim))])
 
     # -- values -----------------------------------------------------------
 
-    def value_at(self, x: Fraction) -> Subspace:
-        x = Fraction(x)
+    def value_at(self, x: Index) -> Subspace:
         out = Subspace.zero(self.ambient_dim)
         for idx, s in self.steps:
             if idx <= x:
@@ -157,9 +169,8 @@ class Filtration:
                 break
         return out
 
-    def value_below(self, x: Fraction) -> Subspace:
+    def value_below(self, x: Index) -> Subspace:
         """The value just under ``x``: sup of the filtration at indices < x."""
-        x = Fraction(x)
         out = Subspace.zero(self.ambient_dim)
         for idx, s in self.steps:
             if idx < x:
@@ -168,48 +179,57 @@ class Filtration:
                 break
         return out
 
-    def jumps(self) -> Tuple[Fraction, ...]:
+    def jumps(self) -> Tuple[Index, ...]:
         return tuple(x for x, _ in self.steps)
 
     def fractional_offsets(self) -> Tuple[Fraction, ...]:
         return tuple(sorted({x - floor(x) for x in self.jumps()} | {Fraction(0)}))
 
-    def graded_at(self, x: Fraction) -> QuotientPresentation:
+    def graded_at(self, x: Index) -> QuotientPresentation:
         return QuotientPresentation(self.value_at(x), self.value_below(x))
 
-    def graded_dims(self) -> Dict[Fraction, int]:
+    def graded_dims(self) -> Dict[Index, int]:
         return {x: self.graded_at(x).dim for x in self.jumps()}
 
-    def shift(self, offset: Fraction) -> "Filtration":
-        return Filtration(self.ambient_dim, [(x + Fraction(offset), s) for x, s in self.steps])
+    def shift(self, offset: Index) -> "Filtration":
+        """Every index, and the center, moved up by ``offset``."""
+        offset = _index(offset)
+        return Filtration(
+            self.ambient_dim, [(x + offset, s) for x, s in self.steps], self.center + offset
+        )
 
     # -- induced filtrations ------------------------------------------------
 
     def induced_on(self, piece: QuotientPresentation) -> "Filtration":
         """The filtration induced on a subquotient of the ambient space."""
-        steps: List[Tuple[Fraction, Subspace]] = []
+        steps: List[Tuple[Index, Subspace]] = []
         for x, s in self.steps:
             inter = s.intersect(piece.sub)
             vecs = [piece.reduce(b) for b in inter.basis]
             steps.append((x, Subspace.span(vecs, piece.dim)))
         if piece.dim > 0 and (not steps or not steps[-1][1].is_full()):
             raise AssertionError("induced filtration lost exhaustiveness")
-        return Filtration(piece.dim, steps)
+        return Filtration(piece.dim, steps, self.center)
+
+    def same_subspaces(self, other: "Filtration") -> bool:
+        """Equality of the stored filtrations, ignoring the center."""
+        return self.ambient_dim == other.ambient_dim and self.steps == other.steps
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Filtration):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.steps == other.steps
+        return self.same_subspaces(other) and self.center == other.center
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{x}:{s.dim}" for x, s in self.steps)
-        return f"Filtration(ambient={self.ambient_dim}, jumps=[{parts}])"
+        center = f", center={self.center}" if self.center else ""
+        return f"Filtration(ambient={self.ambient_dim}, jumps=[{parts}]{center})"
 
 
-class MultiFiltration:
+class MultiFiltration(Immutable):
     """A finite family of filtrations of one ambient space."""
 
     __slots__ = ("ambient_dim", "filtrations", "_hash")
@@ -225,9 +245,6 @@ class MultiFiltration:
         object.__setattr__(self, "ambient_dim", n)
         object.__setattr__(self, "filtrations", fs)
         object.__setattr__(self, "_hash", hash(fs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MultiFiltration is immutable")
 
     def __len__(self) -> int:
         return len(self.filtrations)
@@ -280,7 +297,7 @@ def graded_piece(mf: MultiFiltration, point: Sequence[Fraction]) -> QuotientPres
     return QuotientPresentation(num, den)
 
 
-class HypercomplexCell:
+class HypercomplexCell(Immutable):
     """One cell of the compatibility hypercomplex of a family of subspaces.
 
     The cell at a point of ``{-1, 0, +1}^n`` is the subquotient whose
@@ -294,9 +311,6 @@ class HypercomplexCell:
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "presentation", presentation)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("HypercomplexCell is immutable")
-
     @property
     def dim(self) -> int:
         return self.presentation.dim
@@ -305,7 +319,7 @@ class HypercomplexCell:
         return f"HypercomplexCell(point={self.point}, dim={self.dim})"
 
 
-class SubobjectCompatibility:
+class SubobjectCompatibility(Immutable):
     """Verdict of the hypercomplex row-exactness test for a subspace family.
 
     ``witness`` is None on success; otherwise it is the lexicographically
@@ -324,9 +338,6 @@ class SubobjectCompatibility:
         object.__setattr__(self, "compatible", compatible)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "cell_dims", cell_dims)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SubobjectCompatibility is immutable")
 
     def __bool__(self) -> bool:
         return self.compatible
@@ -371,7 +382,7 @@ def _subobject_compatibility_cached(
 
     inter: Dict[frozenset, Subspace] = {frozenset(): full}
     for size in range(1, n + 1):
-        for combo in _subsets_of_size(n, size):
+        for combo in combinations(range(n), size):
             base = frozenset(combo[:-1])
             inter[frozenset(combo)] = inter[base].intersect(subspaces[combo[-1]])
 
@@ -402,12 +413,6 @@ def _subobject_compatibility_cached(
     return SubobjectCompatibility(witness is None, witness, dims)
 
 
-def _subsets_of_size(n: int, size: int) -> List[Tuple[int, ...]]:
-    from itertools import combinations
-
-    return list(combinations(range(n), size))
-
-
 def compatible_subobjects(
     subspaces: Sequence[Subspace], ambient_dim: Optional[int] = None
 ) -> SubobjectCompatibility:
@@ -434,7 +439,7 @@ def compatible_subobjects(
     return _subobject_compatibility_cached(subs, dim)
 
 
-class FiltrationCompatibility:
+class FiltrationCompatibility(Immutable):
     """Verdict for a multifiltration: compatible at every jump lattice point.
 
     On failure, ``witness`` carries the failing index tuple plus the cell
@@ -450,9 +455,6 @@ class FiltrationCompatibility:
     ) -> None:
         object.__setattr__(self, "compatible", compatible)
         object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FiltrationCompatibility is immutable")
 
     def __bool__(self) -> bool:
         return self.compatible

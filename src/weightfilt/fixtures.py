@@ -12,12 +12,13 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import GaussianRational, Matrix, Subspace
+from .exact import Immutable, Matrix, Subspace
+from .filtration import Filtration
 from .lefschetz import GradedBilinearStructure, GradedSpace
 from .nearby import NilssonFactor
 
 
-class VkFixture:
+class VkFixture(Immutable):
     """The (k+1)-dimensional irreducible string ``v_0, ..., v_k``.
 
     Defining formulas, all verbatim in the basis order ``v_0 .. v_k``:
@@ -61,9 +62,6 @@ class VkFixture:
         object.__setattr__(self, "grading", Matrix(grd, d, d))
         object.__setattr__(self, "pairing", Matrix(q, d, d))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("VkFixture is immutable")
-
     def basis_vector(self, ell: int) -> Tuple[Fraction, ...]:
         return tuple(Fraction(1) if i == ell else Fraction(0) for i in range(self.dim))
 
@@ -82,19 +80,17 @@ class VkFixture:
         vecs = [self.basis_vector(ell) for ell in range(max(p, 0), self.dim)]
         return Subspace.span(vecs, self.dim)
 
-    def weight_filtration(self) -> "CenteredFiltration":
+    def weight_filtration(self) -> Filtration:
         """``W_i = span(v_l : 0 <= l <= i/2)``, centered at k.
 
         >>> VkFixture(2).weight_filtration().jumps()
         (0, 2, 4)
         """
-        from .monodromy import CenteredFiltration
-
         steps = [
             (2 * j, Subspace.span([self.basis_vector(ell) for ell in range(j + 1)], self.dim))
             for j in range(self.dim)
         ]
-        return CenteredFiltration(self.dim, steps, center=self.k)
+        return Filtration(self.dim, steps, center=self.k)
 
     def graded_hodge_type(self, ell: int) -> Tuple[int, int]:
         """The Hodge type carried by the weight-(2l - k) line."""
@@ -108,7 +104,7 @@ def fixture_Vk(k: int) -> VkFixture:
     return VkFixture(k)
 
 
-class TensorJordanFixture:
+class TensorJordanFixture(Immutable):
     """A tensor product of Jordan strings, one grading slot per factor.
 
     Factor i has basis ``u_0 .. u_{m_i - 1}`` with lowering ``u_j -> u_{j-1}``,
@@ -136,9 +132,6 @@ class TensorJordanFixture:
         object.__setattr__(self, "dim", len(indices))
         object.__setattr__(self, "_indices", indices)
         object.__setattr__(self, "_offsets", offsets)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TensorJordanFixture is immutable")
 
     @property
     def nslots(self) -> int:

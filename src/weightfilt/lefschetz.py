@@ -23,20 +23,28 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
     GaussianRational,
+    Immutable,
     Matrix,
     Subspace,
     exp_nilpotent,
     is_positive_definite,
     kernel_of,
+    restrict_operator,
     solve_columns,
     sum_of,
 )
-from .monodromy import NilpotentOperator, monodromy_filtration
+from .filtration import Filtration
+from .monodromy import (
+    NilpotentOperator,
+    WeightAxiomFailure,
+    monodromy_filtration,
+    verify_weight_axioms,
+)
 
 MultiDegree = Tuple[int, ...]
 
 
-class GradedSpace:
+class GradedSpace(Immutable):
     """A direct-sum decomposition of an ambient space along ``Z^p``.
 
     >>> h = GradedSpace(2, {(-1,): Subspace.span([(1, 0)], 2),
@@ -73,9 +81,6 @@ class GradedSpace:
             self, "_hash", hash((ambient_dim, tuple(sorted(comps.items(), key=lambda kv: kv[0]))))
         )
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GradedSpace is immutable")
-
     def multidegrees(self) -> List[MultiDegree]:
         return sorted(self.components)
 
@@ -102,7 +107,6 @@ class GradedSpace:
         if not 0 <= slot < self.nslots:
             raise ValueError("slot out of range")
         b = self.change_of_basis()
-        diag = []
         i = 0
         n = self.ambient_dim
         entries = [[Fraction(0)] * n for _ in range(n)]
@@ -123,7 +127,7 @@ class GradedSpace:
         return f"GradedSpace(ambient={self.ambient_dim}, dims={self.dims()})"
 
 
-class GradedBilinearStructure:
+class GradedBilinearStructure(Immutable):
     """A graded space with slotwise lowering operators and a graded pairing.
 
     Validated at construction: each operator is nilpotent, lowers its slot
@@ -186,9 +190,6 @@ class GradedBilinearStructure:
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "center", c)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GradedBilinearStructure is immutable")
-
     @property
     def nslots(self) -> int:
         return self.space.nslots
@@ -213,9 +214,6 @@ def grading_is_monodromy(space: GradedSpace, operators: Sequence[Matrix]) -> boo
     weight filtration (centered at 0) of the operator restricted to the sum
     of those pieces.
     """
-    from .exact import restrict_operator
-    from .monodromy import CenteredFiltration, WeightAxiomFailure, verify_weight_axioms
-
     p = space.nslots
     for i in range(p):
         others: Dict[Tuple[int, ...], List[Tuple[int, Subspace]]] = {}
@@ -240,7 +238,7 @@ def grading_is_monodromy(space: GradedSpace, operators: Sequence[Matrix]) -> boo
                             vecs.append(coords)
                 steps.append((lv, Subspace.span(vecs, ambient.dim)))
             try:
-                cf = CenteredFiltration(ambient.dim, steps, center=0)
+                cf = Filtration(ambient.dim, steps)
                 verify_weight_axioms(cf, op)
             except (ValueError, WeightAxiomFailure):
                 return False
@@ -249,7 +247,7 @@ def grading_is_monodromy(space: GradedSpace, operators: Sequence[Matrix]) -> boo
     return True
 
 
-class Sl2Action:
+class Sl2Action(Immutable):
     """A certified sl2 triple acting on one grading slot.
 
     The full bracket table is validated at construction: ``[X, Y] == H``,
@@ -270,9 +268,6 @@ class Sl2Action:
         object.__setattr__(self, "lower_op", y)
         object.__setattr__(self, "grading_op", h)
         object.__setattr__(self, "slot", slot)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Sl2Action is immutable")
 
     def weil_element(self) -> Matrix:
         """``exp(-X) exp(Y) exp(-X)``; exact because X and Y are nilpotent."""
@@ -424,7 +419,7 @@ def lefschetz_decomposition_check(structure: GradedBilinearStructure) -> bool:
     return True
 
 
-class PolarizationReport:
+class PolarizationReport(Immutable):
     """Verdicts of both polarization criteria (they are required to agree)."""
 
     __slots__ = ("polarized", "primitive_route", "weil_route", "failure")
@@ -440,9 +435,6 @@ class PolarizationReport:
         object.__setattr__(self, "primitive_route", primitive_route)
         object.__setattr__(self, "weil_route", weil_route)
         object.__setattr__(self, "failure", failure)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PolarizationReport is immutable")
 
     def __bool__(self) -> bool:
         return self.polarized
@@ -565,7 +557,7 @@ def merge_slots(structure: GradedBilinearStructure, i: int, j: int) -> GradedBil
 # -- rational Hodge structures ------------------------------------------------
 
 
-class RationalHodgeStructure:
+class RationalHodgeStructure(Immutable):
     """A weight-w bigrading of a Gaussian-rational vector space.
 
     Components are indexed by pairs (p, q) with ``p + q == weight``;
@@ -604,9 +596,6 @@ class RationalHodgeStructure:
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "components", dict(comps))
         object.__setattr__(self, "ambient_dim", n)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RationalHodgeStructure is immutable")
 
     def component(self, p: int, q: int) -> Subspace:
         return self.components.get((p, q), Subspace.zero(self.ambient_dim))

@@ -25,15 +25,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exact import (
-    Matrix,
-    QuotientPresentation,
-    Subspace,
-)
+from .exact import Immutable, Matrix, QuotientPresentation, Subspace, kernel_of
 from .filtration import Filtration
 
 
-class NilpotentOperator:
+class NilpotentOperator(Immutable):
     """A square matrix certified nilpotent at construction.
 
     ``exponent`` is the smallest e with ``N^e == 0``; the zero map on a
@@ -72,9 +68,6 @@ class NilpotentOperator:
         object.__setattr__(self, "exponent", e)
         object.__setattr__(self, "_powers", tuple(powers))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("NilpotentOperator is immutable")
-
     @property
     def nil_order(self) -> int:
         return max(self.exponent - 1, 0)
@@ -85,121 +78,10 @@ class NilpotentOperator:
         return Matrix.zero(self.dim, self.dim)
 
     def kernel_of_power(self, k: int) -> Subspace:
-        from .exact import kernel_of
-
         return kernel_of(self.power(k))
 
     def __repr__(self) -> str:
         return f"NilpotentOperator(dim={self.dim}, exponent={self.exponent})"
-
-
-class CenteredFiltration:
-    """An integer-indexed increasing exhaustive filtration with an offset.
-
-    The ``center`` records the symmetry point of a weight filtration (the
-    graded pieces at ``center + l`` and ``center - l`` match up); it is
-    carried as metadata and does not affect the stored subspaces.
-    """
-
-    __slots__ = ("ambient_dim", "steps", "center", "_hash")
-
-    def __init__(
-        self,
-        ambient_dim: int,
-        steps: Sequence[Tuple[int, Subspace]],
-        center: int = 0,
-    ) -> None:
-        pairs = sorted(((int(k), s) for k, s in steps), key=lambda p: p[0])
-        canon: List[Tuple[int, Subspace]] = []
-        prev = Subspace.zero(ambient_dim)
-        for k, s in pairs:
-            if s.ambient_dim != ambient_dim:
-                raise ValueError("filtration value has wrong ambient dimension")
-            if canon and canon[-1][0] == k:
-                raise ValueError(f"duplicate filtration index {k}")
-            if not s.contains(prev):
-                raise ValueError(f"filtration is not increasing at index {k}")
-            if s != prev:
-                canon.append((k, s))
-                prev = s
-        if ambient_dim > 0 and (not canon or not canon[-1][1].is_full()):
-            raise ValueError("filtration is not exhaustive (top value must be full)")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "steps", tuple(canon))
-        object.__setattr__(self, "center", int(center))
-        object.__setattr__(self, "_hash", hash((ambient_dim, tuple(canon), int(center))))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CenteredFiltration is immutable")
-
-    def value_at(self, k: int) -> Subspace:
-        out = Subspace.zero(self.ambient_dim)
-        for idx, s in self.steps:
-            if idx <= k:
-                out = s
-            else:
-                break
-        return out
-
-    def value_below(self, k: int) -> Subspace:
-        return self.value_at(k - 1)
-
-    def jumps(self) -> Tuple[int, ...]:
-        return tuple(k for k, _ in self.steps)
-
-    def min_jump(self) -> int:
-        return self.steps[0][0] if self.steps else 0
-
-    def max_jump(self) -> int:
-        return self.steps[-1][0] if self.steps else 0
-
-    def graded_at(self, k: int) -> QuotientPresentation:
-        return QuotientPresentation(self.value_at(k), self.value_at(k - 1))
-
-    def graded_dims(self) -> Dict[int, int]:
-        return {k: self.graded_at(k).dim for k in self.jumps()}
-
-    def shift(self, offset: int) -> "CenteredFiltration":
-        return CenteredFiltration(
-            self.ambient_dim,
-            [(k + offset, s) for k, s in self.steps],
-            center=self.center + offset,
-        )
-
-    def induced_on(self, piece: QuotientPresentation, center: Optional[int] = None) -> "CenteredFiltration":
-        steps = []
-        for k, s in self.steps:
-            inter = s.intersect(piece.sub)
-            vecs = [piece.reduce(b) for b in inter.basis]
-            steps.append((k, Subspace.span(vecs, piece.dim)))
-        return CenteredFiltration(
-            piece.dim, steps, center=self.center if center is None else center
-        )
-
-    def to_filtration(self) -> Filtration:
-        return Filtration(
-            self.ambient_dim, [(Fraction(k), s) for k, s in self.steps]
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CenteredFiltration):
-            return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.steps == other.steps
-            and self.center == other.center
-        )
-
-    def same_subspaces(self, other: "CenteredFiltration") -> bool:
-        """Equality of the stored filtrations, ignoring the center tag."""
-        return self.ambient_dim == other.ambient_dim and self.steps == other.steps
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        parts = ", ".join(f"{k}:{s.dim}" for k, s in self.steps)
-        return f"CenteredFiltration(center={self.center}, jumps=[{parts}])"
 
 
 OperatorLike = Union[Matrix, NilpotentOperator]
@@ -243,7 +125,7 @@ class WeightAxiomFailure(AssertionError):
     """Raised when a candidate weight filtration fails certification."""
 
 
-def verify_weight_axioms(w: CenteredFiltration, n: OperatorLike) -> None:
+def verify_weight_axioms(w: Filtration, n: OperatorLike) -> None:
     """Certify both weight-filtration axioms; raise on any failure.
 
     Axiom one: N lowers the filtration by two.  Axiom two: the ℓ-th power
@@ -259,7 +141,7 @@ def verify_weight_axioms(w: CenteredFiltration, n: OperatorLike) -> None:
             raise WeightAxiomFailure(f"operator does not lower the filtration by two at {k}")
     if not w.steps:
         return
-    span = max(abs(w.max_jump() - c), abs(w.min_jump() - c))
+    span = max(abs(w.steps[-1][0] - c), abs(w.steps[0][0] - c))
     for ell in range(1, span + 1):
         hi = w.graded_at(c + ell)
         lo = w.graded_at(c - ell)
@@ -276,7 +158,7 @@ def verify_weight_axioms(w: CenteredFiltration, n: OperatorLike) -> None:
             )
 
 
-def monodromy_filtration(n: OperatorLike, center: int = 0) -> CenteredFiltration:
+def monodromy_filtration(n: OperatorLike, center: int = 0) -> Filtration:
     """The weight filtration of a nilpotent operator, centered as requested.
 
     Built from a Jordan chain basis (an element t steps down a chain of
@@ -296,7 +178,7 @@ def monodromy_filtration(n: OperatorLike, center: int = 0) -> CenteredFiltration
         for t, v in enumerate(chain):
             weighted.append((center + (m - 1) - 2 * t, v))
     if not weighted:
-        out = CenteredFiltration(d, [], center=center)
+        out = Filtration(d, [], center=center)
         verify_weight_axioms(out, op)
         return out
     levels = sorted(set(k for k, _ in weighted))
@@ -304,7 +186,7 @@ def monodromy_filtration(n: OperatorLike, center: int = 0) -> CenteredFiltration
     for k in levels:
         vecs = [v for kk, v in weighted if kk <= k]
         steps.append((k, Subspace.span(vecs, d)))
-    out = CenteredFiltration(d, steps, center=center)
+    out = Filtration(d, steps, center=center)
     verify_weight_axioms(out, op)
     return out
 
@@ -312,7 +194,7 @@ def monodromy_filtration(n: OperatorLike, center: int = 0) -> CenteredFiltration
 # -- relative weight filtrations --------------------------------------------
 
 
-class NonexistenceCertificate:
+class NonexistenceCertificate(Immutable):
     """Why no relative weight filtration can exist.
 
     Every recorded reason is a *necessary* condition on any solution, so
@@ -327,14 +209,11 @@ class NonexistenceCertificate:
         object.__setattr__(self, "at_jump", at_jump)
         object.__setattr__(self, "message", message)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("NonexistenceCertificate is immutable")
-
     def __repr__(self) -> str:
         return f"NonexistenceCertificate(level={self.level}, kind={self.kind!r})"
 
 
-class RelativeMonodromyResult:
+class RelativeMonodromyResult(Immutable):
     """Outcome of a relative weight filtration computation."""
 
     __slots__ = ("exists", "filtration", "certificate")
@@ -342,15 +221,12 @@ class RelativeMonodromyResult:
     def __init__(
         self,
         exists: bool,
-        filtration: Optional[CenteredFiltration],
+        filtration: Optional[Filtration],
         certificate: Optional[NonexistenceCertificate],
     ) -> None:
         object.__setattr__(self, "exists", exists)
         object.__setattr__(self, "filtration", filtration)
         object.__setattr__(self, "certificate", certificate)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RelativeMonodromyResult is immutable")
 
     def __bool__(self) -> bool:
         return self.exists
@@ -370,7 +246,7 @@ class UndeterminedRelativeFiltration(RuntimeError):
     """
 
 
-def relative_monodromy(n: OperatorLike, lfilt: CenteredFiltration) -> RelativeMonodromyResult:
+def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyResult:
     """The weight filtration of N relative to L, or a refutation.
 
     Any solution M must satisfy, for every level ℓ and every L-jump k:
@@ -395,10 +271,10 @@ def relative_monodromy(n: OperatorLike, lfilt: CenteredFiltration) -> RelativeMo
 
     jumps = lfilt.jumps()
     if not jumps:
-        return RelativeMonodromyResult(True, CenteredFiltration(d, [], center=0), None)
+        return RelativeMonodromyResult(True, Filtration(d, []), None)
 
     pieces: Dict[int, QuotientPresentation] = {}
-    graded_weights: Dict[int, CenteredFiltration] = {}
+    graded_weights: Dict[int, Filtration] = {}
     max_exp = 1
     for k in jumps:
         piece = lfilt.graded_at(k)
@@ -532,7 +408,7 @@ def relative_monodromy(n: OperatorLike, lfilt: CenteredFiltration) -> RelativeMo
             prev = cand
 
     steps = [(ell, values[ell]) for ell in range(lo, hi)] + [(hi, full)]
-    candidate = CenteredFiltration(d, steps, center=0)
+    candidate = Filtration(d, steps)
 
     failure = _relative_axiom_failure(candidate, op, lfilt, graded_weights)
     if failure is None:
@@ -547,10 +423,10 @@ def relative_monodromy(n: OperatorLike, lfilt: CenteredFiltration) -> RelativeMo
 
 
 def _relative_axiom_failure(
-    m: CenteredFiltration,
+    m: Filtration,
     op: NilpotentOperator,
-    lfilt: CenteredFiltration,
-    graded_weights: Dict[int, CenteredFiltration],
+    lfilt: Filtration,
+    graded_weights: Dict[int, Filtration],
 ) -> Optional[Tuple[int, str]]:
     """None if ``m`` satisfies both relative axioms, else (level, reason)."""
     for ell in list(m.jumps()):
@@ -562,11 +438,10 @@ def _relative_axiom_failure(
         want = graded_weights[k]
         if piece.dim == 0:
             continue
+        induced = m.induced_on(piece)
         span = [w for w in want.jumps()] + [w for w in m.jumps()]
         for ell in range(min(span) - 1, max(span) + 1):
-            inter = m.value_at(ell).intersect(piece.sub)
-            got = Subspace.span([piece.reduce(b) for b in inter.basis], piece.dim)
-            if got != want.value_at(ell):
+            if induced.value_at(ell) != want.value_at(ell):
                 return ell, (
                     f"induced filtration on the graded piece at {k} deviates at level {ell}"
                 )
@@ -576,7 +451,7 @@ def _relative_axiom_failure(
 # -- iterated relative filtrations ------------------------------------------
 
 
-class IteratedWeightReport:
+class IteratedWeightReport(Immutable):
     """Result of comparing the iterated relative filtration with W(sum N_i)."""
 
     __slots__ = ("holds", "iterated", "total", "certificate")
@@ -584,17 +459,14 @@ class IteratedWeightReport:
     def __init__(
         self,
         holds: bool,
-        iterated: Optional[CenteredFiltration],
-        total: CenteredFiltration,
+        iterated: Optional[Filtration],
+        total: Filtration,
         certificate: Optional[NonexistenceCertificate],
     ) -> None:
         object.__setattr__(self, "holds", holds)
         object.__setattr__(self, "iterated", iterated)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "certificate", certificate)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IteratedWeightReport is immutable")
 
     def __bool__(self) -> bool:
         return self.holds
@@ -640,7 +512,7 @@ def mf_property(operators: Sequence[OperatorLike]) -> IteratedWeightReport:
     return IteratedWeightReport(holds, acc, total, None)
 
 
-class GradedSumReport:
+class GradedSumReport(Immutable):
     """Nested graded dimensions of a commuting family versus W(sum)."""
 
     __slots__ = ("matches", "nested_dims", "total_dims")
@@ -654,9 +526,6 @@ class GradedSumReport:
         object.__setattr__(self, "matches", matches)
         object.__setattr__(self, "nested_dims", nested_dims)
         object.__setattr__(self, "total_dims", total_dims)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GradedSumReport is immutable")
 
     def __bool__(self) -> bool:
         return self.matches

@@ -24,11 +24,11 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import Matrix, Subspace, intersection_of, kernel_of, image_of
+from .exact import Immutable, Matrix, Subspace, intersection_of, kernel_of, image_of
 from .monodromy import NilpotentOperator
 
 
-class MonodromicModule:
+class MonodromicModule(Immutable):
     """Commuting nilpotent operators supported at rational shifts in [-1, 0).
 
     >>> n = Matrix.from_rows([[0, 0], [1, 0]])
@@ -63,9 +63,6 @@ class MonodromicModule:
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "nvars", len(ops))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MonodromicModule is immutable")
-
     def nil_orders(self) -> Tuple[int, ...]:
         return tuple(NilpotentOperator(op).nil_order for op in self.operators)
 
@@ -73,7 +70,7 @@ class MonodromicModule:
         return f"MonodromicModule(dim={self.dim}, supports={[str(a) for a in self.supports]})"
 
 
-class NilssonFactor:
+class NilssonFactor(Immutable):
     """A logarithmic factor: basis ``e_0 .. e_k`` at a shift in [-1, 0).
 
     The Euler operator acts by ``e_l -> -(1 + shift) e_l - e_{l-1}``
@@ -98,9 +95,6 @@ class NilssonFactor:
         object.__setattr__(self, "shift", s)
         object.__setattr__(self, "order", int(order))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("NilssonFactor is immutable")
-
     @property
     def dim(self) -> int:
         return self.order + 1
@@ -123,7 +117,7 @@ class NilssonFactor:
         return f"NilssonFactor(shift={self.shift}, order={self.order})"
 
 
-class NilssonExtension:
+class NilssonExtension(Immutable):
     """The tensor of a monodromic module with one factor per variable.
 
     Basis order: exponent tuples enumerate lexicographically over the box,
@@ -145,9 +139,6 @@ class NilssonExtension:
         object.__setattr__(self, "dim", module.dim * len(exponents))
         object.__setattr__(self, "_exponents", exponents)
         object.__setattr__(self, "_offsets", offsets)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("NilssonExtension is immutable")
 
     def exponents(self) -> List[Tuple[int, ...]]:
         return list(self._exponents)
@@ -216,7 +207,7 @@ def h_minus2(ext: NilssonExtension) -> Subspace:
     return ext.joint_kernel()
 
 
-class NilsIsoReport:
+class NilsIsoReport(Immutable):
     """Outcome of the comparison-map isomorphism check."""
 
     __slots__ = ("contained", "injective", "surjective", "isomorphism", "kernel_dim", "image_dim")
@@ -228,9 +219,6 @@ class NilsIsoReport:
         object.__setattr__(self, "isomorphism", contained and injective and surjective)
         object.__setattr__(self, "kernel_dim", kernel_dim)
         object.__setattr__(self, "image_dim", image_dim)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("NilsIsoReport is immutable")
 
     def __bool__(self) -> bool:
         return self.isomorphism
@@ -269,7 +257,7 @@ def nils_iso_check(module: MonodromicModule, orders: Sequence[int]) -> NilsIsoRe
     return NilsIsoReport(contained, injective, surjective, ker.dim, img.dim)
 
 
-class TwoPathReport:
+class TwoPathReport(Immutable):
     """Comparison of the two iteration orders of the one-variable map."""
 
     __slots__ = ("equal", "image_dim", "inside_kernel")
@@ -278,9 +266,6 @@ class TwoPathReport:
         object.__setattr__(self, "equal", equal)
         object.__setattr__(self, "image_dim", image_dim)
         object.__setattr__(self, "inside_kernel", inside_kernel)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TwoPathReport is immutable")
 
     def __bool__(self) -> bool:
         return self.equal
@@ -328,7 +313,7 @@ def two_path_compare(module: MonodromicModule, orders: Sequence[int]) -> TwoPath
     return TwoPathReport(equal, img.dim, ker.contains(img))
 
 
-class DoubleComplexModel:
+class DoubleComplexModel(Immutable):
     """The two-variable double complex built from a tensor extension.
 
     All four corners carry the extension space; horizontals are the first
@@ -359,9 +344,6 @@ class DoubleComplexModel:
         object.__setattr__(self, "extension", ext)
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("DoubleComplexModel is immutable")
 
     @property
     def corner_dim(self) -> int:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .exact import Matrix, QuotientPresentation, Subspace, intersection_of, sum_of
+from .exact import Immutable, Matrix, QuotientPresentation, Subspace, intersection_of, sum_of
 from .filtration import IndexLattice, MultiFiltration
 
 Point = Tuple[int, ...]
@@ -355,7 +355,7 @@ def _koszul_prefix_exact(rees: ReesModule, varset: FrozenSet[int]) -> bool:
     return verdict
 
 
-class RegularityCertificate:
+class RegularityCertificate(Immutable):
     """Verdict of the two-route regular-sequence test."""
 
     __slots__ = ("regular", "sequence", "failed_prefix")
@@ -364,9 +364,6 @@ class RegularityCertificate:
         object.__setattr__(self, "regular", regular)
         object.__setattr__(self, "sequence", sequence)
         object.__setattr__(self, "failed_prefix", failed_prefix)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RegularityCertificate is immutable")
 
     def __bool__(self) -> bool:
         return self.regular
@@ -415,7 +412,7 @@ def is_regular_sequence(rees: ReesModule, seq: Sequence[int]) -> RegularityCerti
     return RegularityCertificate(inj_ok, s, inj_fail or kos_fail)
 
 
-class FlatnessCertificate:
+class FlatnessCertificate(Immutable):
     """Verdict of the two-route flatness test for a multigraded module."""
 
     __slots__ = ("flat", "witness_kind", "witness")
@@ -424,9 +421,6 @@ class FlatnessCertificate:
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "witness_kind", witness_kind)
         object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FlatnessCertificate is immutable")
 
     def __bool__(self) -> bool:
         return self.flat

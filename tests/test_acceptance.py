@@ -28,6 +28,7 @@ from weightfilt.document import (
 )
 from weightfilt.exact import Matrix, Subspace, image_of
 from weightfilt.filtration import (
+    Filtration,
     MultiFiltration,
     compatible_filtrations,
     graded_piece,
@@ -43,7 +44,6 @@ from weightfilt.lefschetz import (
     sl2_complete,
 )
 from weightfilt.monodromy import (
-    CenteredFiltration,
     NilpotentOperator,
     graded_sum_decomposition,
     mf_property,
@@ -197,7 +197,7 @@ def test_criterion_03_relative_monodromy():
     for _ in range(100):
         dim = rng.randint(1, 6)
         n = random_nilpotent(rng, dim)
-        trivial = CenteredFiltration(dim, [(0, Subspace.full(dim))], center=0)
+        trivial = Filtration(dim, [(0, Subspace.full(dim))], center=0)
         res = relative_monodromy(n, trivial)
         assert res.exists
         assert res.filtration.same_subspaces(monodromy_filtration(n))
@@ -207,7 +207,7 @@ def test_criterion_03_relative_monodromy():
     # nonzero operator across them leave no room for any filtration
     n2 = Matrix([[0, 1], [0, 0]])
     e1 = Subspace.span([(1, 0)], 2)
-    bottom = CenteredFiltration(2, [(0, e1), (1, Subspace.full(2))], center=0)
+    bottom = Filtration(2, [(0, e1), (1, Subspace.full(2))], center=0)
     res = relative_monodromy(n2, bottom)
     assert not res.exists
     assert res.certificate is not None

@@ -29,6 +29,8 @@ from weightfilt.document import (
     vector_to_json,
 )
 from weightfilt.exact import GaussianRational, Matrix, Subspace
+from weightfilt.filtration import Filtration
+from weightfilt.monodromy import monodromy_filtration
 
 from strategies import small_fractions
 
@@ -111,12 +113,16 @@ class TestContainerRoundTrips:
     def test_filtration_round_trip(self, data):
         f = data.draw(strat.filtrations(3, fractional=True))
         assert filtration_from_json(filtration_to_json(f), "$") == f
+        recentered = Filtration(f.ambient_dim, f.steps, center=f.center + 1)
+        assert recentered != f and recentered.same_subspaces(f)
 
     def test_centered_filtration_round_trip(self):
         from weightfilt.fixtures import fixture_Vk
 
         w = fixture_Vk(2).weight_filtration()
         assert centered_filtration_from_json(centered_filtration_to_json(w), "$") == w
+        m = monodromy_filtration(fixture_Vk(2).lowering, center=2)
+        assert all(type(k) is int for k in m.jumps() + (m.center,))
 
     def test_filtration_requires_spans(self):
         with pytest.raises(DocumentError):

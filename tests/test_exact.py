@@ -79,6 +79,12 @@ class TestMatrix:
         with pytest.raises(ValueError):
             Matrix.zero(2, 3) * Matrix.zero(2, 3)
 
+    def test_rejects_row_count_mismatch(self):
+        with pytest.raises(ValueError):
+            Matrix([[1, 2]], 3, 2)
+        with pytest.raises(ValueError):
+            Matrix([], 2, 2)
+
     def test_degenerate_shapes_compose(self):
         # maps through a zero-dimensional space keep their outer shape
         f = Matrix.zero(0, 3)

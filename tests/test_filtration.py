@@ -88,6 +88,12 @@ class TestFiltration:
         g = f.shift(Fraction(5, 2))
         assert g.jumps() == tuple(x + Fraction(5, 2) for x in f.jumps())
 
+    def test_shift_moves_the_center_and_keeps_integer_indices(self):
+        w = Filtration(2, [(-1, _line(1, 0)), (1, Subspace.full(2))], center=0)
+        g = w.shift(3)
+        assert g.jumps() == (2, 4) and g.center == 3
+        assert all(type(k) is int for k in g.jumps() + (g.center,))
+
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
             Filtration(2, [(Fraction(0), Subspace.full(2)), (Fraction(1), _line(1, 0))])

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 
 from weightfilt.exact import Matrix, Subspace, image_of
+from weightfilt.filtration import Filtration
 from weightfilt.monodromy import (
-    CenteredFiltration,
     NilpotentOperator,
     UndeterminedRelativeFiltration,
     WeightAxiomFailure,
@@ -130,7 +130,7 @@ class TestMonodromyFiltration:
     def test_axiom_checker_rejects_corruption(self):
         w = monodromy_filtration(JORDAN_2)
         # move the lower jump up by one: breaks the symmetry axiom
-        bad = CenteredFiltration(
+        bad = Filtration(
             2,
             [(0, w.value_at(-1)), (1, Subspace.full(2))],
             center=0,
@@ -145,13 +145,13 @@ class TestRelativeMonodromy:
         for _ in range(25):
             dim = rng.randint(1, 6)
             n = random_nilpotent(rng, dim)
-            trivial = CenteredFiltration(dim, [(0, Subspace.full(dim))], center=0)
+            trivial = Filtration(dim, [(0, Subspace.full(dim))], center=0)
             res = relative_monodromy(n, trivial)
             assert res.exists
             assert res.filtration.same_subspaces(monodromy_filtration(n))
 
     def test_adjacent_jump_counterexample_is_refuted(self):
-        bottom = CenteredFiltration(
+        bottom = Filtration(
             2,
             [(0, Subspace.span([(1, 0)], 2)), (1, Subspace.full(2))],
             center=0,
@@ -162,7 +162,7 @@ class TestRelativeMonodromy:
         assert res.certificate.kind == "dimension-overflow"
 
     def test_separated_jumps_admit_the_filtration(self):
-        bottom = CenteredFiltration(
+        bottom = Filtration(
             2,
             [(-1, Subspace.span([(1, 0)], 2)), (1, Subspace.full(2))],
             center=0,
@@ -208,12 +208,12 @@ class TestRelativeMonodromy:
         assert found > 0
 
     def test_dimension_mismatch_rejected(self):
-        bottom = CenteredFiltration(3, [(0, Subspace.full(3))], center=0)
+        bottom = Filtration(3, [(0, Subspace.full(3))], center=0)
         with pytest.raises(ValueError):
             relative_monodromy(JORDAN_2, bottom)
 
     def test_operator_must_preserve_the_filtration(self):
-        bottom = CenteredFiltration(
+        bottom = Filtration(
             2, [(0, Subspace.span([(0, 1)], 2)), (1, Subspace.full(2))], center=0
         )
         with pytest.raises(ValueError):

@@ -65,11 +65,6 @@ class TestMonodromicModule:
         with pytest.raises(ValueError):
             MonodromicModule([HALF], [Matrix.identity(2)])
 
-    def test_is_immutable(self):
-        m = MonodromicModule([HALF], [J2])
-        with pytest.raises(AttributeError):
-            m.dim = 5
-
 
 class TestNilssonFactor:
     def test_euler_is_eigenvalue_plus_lowering(self):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Union
 
 import click
 
@@ -58,9 +58,14 @@ def _run_and_exit(doc: Document, fmt: str) -> None:
     sys.exit(0 if report["verdict"] else 1)
 
 
-def _dispatch(input_path: str, fmt: str, task: str) -> None:
+def _dispatch(source: Union[str, dict], fmt: str, task: str) -> None:
+    """Run a task on the document at a path, or on a payload built from flags."""
     try:
-        _run_and_exit(_read_document(input_path, task), fmt)
+        if isinstance(source, dict):
+            doc = Document(task, source)
+        else:
+            doc = _read_document(source, task)
+        _run_and_exit(doc, fmt)
     except DocumentError as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
@@ -143,14 +148,7 @@ def nilsson() -> None:
 @_FORMAT
 def nilsson_demo(denominator: int, order: int, fmt: str) -> None:
     """Tabulate the standard fractional-shift factors and their eigenvalues."""
-    try:
-        doc = Document(
-            "nilsson-demo", {"denominator": denominator, "order": order}
-        )
-        _run_and_exit(doc, fmt)
-    except DocumentError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(2)
+    _dispatch({"denominator": denominator, "order": order}, fmt, "nilsson-demo")
 
 
 @main.command("fixture")
@@ -158,11 +156,7 @@ def nilsson_demo(denominator: int, order: int, fmt: str) -> None:
 @_FORMAT
 def fixture(name: str, fmt: str) -> None:
     """Describe a named example (V<k>, tensor-<sizes>, nilsson-<q>-<order>)."""
-    try:
-        _run_and_exit(Document("fixture-info", {"name": name}), fmt)
-    except DocumentError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(2)
+    _dispatch({"name": name}, fmt, "fixture-info")
 
 
 def _random_nilpotent(rng: random.Random, dim: int) -> Matrix:

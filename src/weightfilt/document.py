@@ -18,7 +18,7 @@ import json
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .exact import GaussianRational, Immutable, Matrix, Scalar, Subspace
 from .filtration import (
@@ -221,6 +221,16 @@ def centered_filtration_from_json(obj: object, path: str) -> Filtration:
 
 
 def centered_filtration_to_json(f: Filtration) -> Dict[str, object]:
+    """The JSON object of an integer-indexed filtration with an integer center.
+
+    Raises ValueError naming the first index, or else the center, that is
+    not an `int`, since the document format has no other encoding for them.
+    """
+    for k, _ in f.steps:
+        if type(k) is not int:
+            raise ValueError(f"centered filtration index {k} is not an integer")
+    if type(f.center) is not int:
+        raise ValueError(f"centered filtration center {f.center} is not an integer")
     return {
         "ambient_dim": f.ambient_dim,
         "center": f.center,

@@ -108,7 +108,7 @@ class Filtration(Immutable):
     match up); it takes part in ``==`` but not in `same_subspaces`.
 
     >>> line = Subspace.span([(1, 0)], 2)
-    >>> f = Filtration.from_jumps(2, [(Fraction(0), line), (Fraction(1), Subspace.full(2))])
+    >>> f = Filtration(2, [(Fraction(0), line), (Fraction(1), Subspace.full(2))])
     >>> f.value_at(Fraction(1, 2)) == line
     True
     >>> f.value_below(Fraction(0)).dim
@@ -117,7 +117,7 @@ class Filtration(Immutable):
     (Fraction(0, 1), Fraction(1, 1))
     """
 
-    __slots__ = ("ambient_dim", "steps", "center", "_hash")
+    __slots__ = ("ambient_dim", "steps", "center", "_zero", "_hash")
 
     def __init__(
         self,
@@ -127,7 +127,7 @@ class Filtration(Immutable):
     ) -> None:
         pairs = sorted(((_index(x), s) for x, s in steps), key=lambda p: p[0])
         canon: List[Tuple[Index, Subspace]] = []
-        prev = Subspace.zero(ambient_dim)
+        zero = prev = Subspace.zero(ambient_dim)
         for x, s in pairs:
             if s.ambient_dim != ambient_dim:
                 raise ValueError("filtration value has wrong ambient dimension")
@@ -145,11 +145,8 @@ class Filtration(Immutable):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "steps", tuple(canon))
         object.__setattr__(self, "center", center)
+        object.__setattr__(self, "_zero", zero)
         object.__setattr__(self, "_hash", hash((ambient_dim, tuple(canon), center)))
-
-    @classmethod
-    def from_jumps(cls, ambient_dim: int, steps: Sequence[Tuple[Index, Subspace]]) -> "Filtration":
-        return cls(ambient_dim, steps)
 
     @classmethod
     def trivial(cls, ambient_dim: int, at: Index = Fraction(0)) -> "Filtration":
@@ -161,7 +158,7 @@ class Filtration(Immutable):
     # -- values -----------------------------------------------------------
 
     def value_at(self, x: Index) -> Subspace:
-        out = Subspace.zero(self.ambient_dim)
+        out = self._zero
         for idx, s in self.steps:
             if idx <= x:
                 out = s
@@ -171,7 +168,7 @@ class Filtration(Immutable):
 
     def value_below(self, x: Index) -> Subspace:
         """The value just under ``x``: sup of the filtration at indices < x."""
-        out = Subspace.zero(self.ambient_dim)
+        out = self._zero
         for idx, s in self.steps:
             if idx < x:
                 out = s
@@ -276,7 +273,7 @@ def graded_piece(mf: MultiFiltration, point: Sequence[Fraction]) -> QuotientPres
     notch.
 
     >>> line = Subspace.span([(1, 0)], 2)
-    >>> f = Filtration.from_jumps(2, [(Fraction(0), line), (Fraction(1), Subspace.full(2))])
+    >>> f = Filtration(2, [(Fraction(0), line), (Fraction(1), Subspace.full(2))])
     >>> mf = MultiFiltration([f, f])
     >>> graded_piece(mf, (Fraction(0), Fraction(0))).dim
     1

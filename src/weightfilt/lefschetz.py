@@ -38,6 +38,7 @@ from .monodromy import (
     NilpotentOperator,
     WeightAxiomFailure,
     monodromy_filtration,
+    require_commuting,
     verify_weight_axioms,
 )
 
@@ -132,10 +133,12 @@ class GradedBilinearStructure(Immutable):
 
     Validated at construction: each operator is nilpotent, lowers its slot
     degree by exactly two, the operators commute pairwise, and the pairing
-    is nondegenerate and pairs opposite multidegrees only.
+    is nondegenerate and pairs opposite multidegrees only.  ``nilpotents``
+    keeps the certified `NilpotentOperator` of each slot, so its powers are
+    computed once.
     """
 
-    __slots__ = ("space", "operators", "pairing", "center")
+    __slots__ = ("space", "operators", "nilpotents", "pairing", "center")
 
     def __init__(
         self,
@@ -150,20 +153,18 @@ class GradedBilinearStructure(Immutable):
         c = tuple(center) if center is not None else (0,) * space.nslots
         if len(c) != space.nslots:
             raise ValueError("center has wrong length")
+        nilpotents = []
         for i, op in enumerate(operators):
             if (op.rows, op.cols) != (n, n):
                 raise ValueError("operator has wrong shape")
-            NilpotentOperator(op)  # raises if not nilpotent
+            nilpotents.append(NilpotentOperator(op))  # raises if not nilpotent
             for k, comp in space.components.items():
                 tgt = k[:i] + (k[i] - 2,) + k[i + 1 :]
                 if not space.component(tgt).contains(comp.image_under(op)):
                     raise ValueError(
                         f"operator {i} does not lower slot degree by two at {k}"
                     )
-        for i in range(len(operators)):
-            for j in range(i + 1, len(operators)):
-                if not operators[i].commutes_with(operators[j]):
-                    raise ValueError(f"operators {i} and {j} do not commute")
+        require_commuting(operators)
         if (pairing.rows, pairing.cols) != (n, n):
             raise ValueError("pairing has wrong shape")
         if pairing.rank() != n:
@@ -187,6 +188,7 @@ class GradedBilinearStructure(Immutable):
                             )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "operators", tuple(operators))
+        object.__setattr__(self, "nilpotents", tuple(nilpotents))
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "center", c)
 
@@ -386,9 +388,8 @@ def primitive_parts(structure: GradedBilinearStructure) -> Dict[MultiDegree, Sub
         if any(x < 0 for x in k):
             continue
         prim = comp
-        for i, op in enumerate(structure.operators):
-            power = NilpotentOperator(op).power(k[i] + 1)
-            prim = prim.intersect(kernel_of(power))
+        for i, nil in enumerate(structure.nilpotents):
+            prim = prim.intersect(kernel_of(nil.power(k[i] + 1)))
         out[k] = prim
     return out
 
@@ -482,8 +483,8 @@ def polarization_check(structure: GradedBilinearStructure) -> PolarizationReport
         if sub.dim == 0:
             continue
         twist = Matrix.identity(structure.ambient_dim)
-        for i, op in enumerate(structure.operators):
-            twist = twist * NilpotentOperator(op).power(k[i])
+        for i, nil in enumerate(structure.nilpotents):
+            twist = twist * nil.power(k[i])
         g = _gram(structure, twist, list(sub.basis))
         if g != g.transpose():
             primitive_ok = False

@@ -91,6 +91,14 @@ def _as_operator(n: OperatorLike) -> NilpotentOperator:
     return n if isinstance(n, NilpotentOperator) else NilpotentOperator(n)
 
 
+def require_commuting(operators: Sequence[Matrix]) -> None:
+    """Raise ValueError naming the first pair of operators that do not commute."""
+    for i in range(len(operators)):
+        for j in range(i + 1, len(operators)):
+            if not operators[i].commutes_with(operators[j]):
+                raise ValueError(f"operators {i} and {j} do not commute")
+
+
 def jordan_chain_basis(n: OperatorLike) -> List[List[Tuple[Fraction, ...]]]:
     """A Jordan chain basis: each chain is ``[v, Nv, ..., N^{m-1} v]``.
 
@@ -475,6 +483,14 @@ class IteratedWeightReport(Immutable):
         return f"IteratedWeightReport(holds={self.holds})"
 
 
+def _weight_of_sum(ops: Sequence[NilpotentOperator]) -> Filtration:
+    """The weight filtration, centered at 0, of the sum of commuting operators."""
+    total = ops[0].matrix
+    for o in ops[1:]:
+        total = total + o.matrix
+    return monodromy_filtration(NilpotentOperator(total), center=0)
+
+
 def mf_property(operators: Sequence[OperatorLike]) -> IteratedWeightReport:
     """Does iterating relative weight filtrations reproduce W of the sum?
 
@@ -491,15 +507,8 @@ def mf_property(operators: Sequence[OperatorLike]) -> IteratedWeightReport:
     for o in ops:
         if o.dim != d:
             raise ValueError("operators act on different spaces")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not ops[i].matrix.commutes_with(ops[j].matrix):
-                raise ValueError(f"operators {i} and {j} do not commute")
-
-    total_matrix = ops[0].matrix
-    for o in ops[1:]:
-        total_matrix = total_matrix + o.matrix
-    total = monodromy_filtration(NilpotentOperator(total_matrix), center=0)
+    require_commuting([o.matrix for o in ops])
+    total = _weight_of_sum(ops)
 
     acc = monodromy_filtration(ops[-1], center=0)
     for o in reversed(ops[:-1]):
@@ -549,10 +558,7 @@ def graded_sum_decomposition(operators: Sequence[OperatorLike]) -> GradedSumRepo
     ops = [_as_operator(o) for o in operators]
     if not ops:
         raise ValueError("need at least one operator")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not ops[i].matrix.commutes_with(ops[j].matrix):
-                raise ValueError(f"operators {i} and {j} do not commute")
+    require_commuting([o.matrix for o in ops])
 
     nested: Dict[Tuple[int, ...], int] = {}
 
@@ -570,11 +576,7 @@ def graded_sum_decomposition(operators: Sequence[OperatorLike]) -> GradedSumRepo
 
     recurse([o.matrix for o in ops], ())
 
-    total_matrix = ops[0].matrix
-    for o in ops[1:]:
-        total_matrix = total_matrix + o.matrix
-    total = monodromy_filtration(NilpotentOperator(total_matrix), center=0)
-    total_dims = total.graded_dims()
+    total_dims = _weight_of_sum(ops).graded_dims()
 
     assembled: Dict[int, int] = {}
     for key, dim in nested.items():

@@ -22,14 +22,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exact import Immutable, Matrix, Subspace, intersection_of, kernel_of, image_of
-from .monodromy import NilpotentOperator
+from .monodromy import NilpotentOperator, require_commuting
 
 
 class MonodromicModule(Immutable):
     """Commuting nilpotent operators supported at rational shifts in [-1, 0).
+
+    ``nilpotents`` keeps the certified `NilpotentOperator` of each variable,
+    so its powers are computed once.
 
     >>> n = Matrix.from_rows([[0, 0], [1, 0]])
     >>> m = MonodromicModule([Fraction(-1, 2)], [n])
@@ -37,7 +40,7 @@ class MonodromicModule(Immutable):
     (2, 1)
     """
 
-    __slots__ = ("supports", "operators", "dim", "nvars")
+    __slots__ = ("supports", "operators", "nilpotents", "dim", "nvars")
 
     def __init__(self, supports: Sequence[Fraction], operators: Sequence[Matrix]) -> None:
         sups = tuple(Fraction(a) for a in supports)
@@ -50,21 +53,20 @@ class MonodromicModule(Immutable):
             if not (-1 <= a < 0):
                 raise ValueError("supports must lie in [-1, 0)")
         d = ops[0].rows
+        nilpotents = []
         for op in ops:
             if (op.rows, op.cols) != (d, d):
                 raise ValueError("operators must be square and equal-sized")
-            NilpotentOperator(op)  # raises if not nilpotent
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                if not ops[i].commutes_with(ops[j]):
-                    raise ValueError(f"operators {i} and {j} do not commute")
+            nilpotents.append(NilpotentOperator(op))  # raises if not nilpotent
+        require_commuting(ops)
         object.__setattr__(self, "supports", sups)
         object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "nilpotents", tuple(nilpotents))
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "nvars", len(ops))
 
     def nil_orders(self) -> Tuple[int, ...]:
-        return tuple(NilpotentOperator(op).nil_order for op in self.operators)
+        return tuple(n.nil_order for n in self.nilpotents)
 
     def __repr__(self) -> str:
         return f"MonodromicModule(dim={self.dim}, supports={[str(a) for a in self.supports]})"
@@ -173,17 +175,12 @@ class NilssonExtension(Immutable):
         return f"NilssonExtension(dim={self.dim}, orders={self.orders})"
 
 
-def nilsson_tensor(module: MonodromicModule, orders: Sequence[int]) -> NilssonExtension:
-    """Tensor a monodromic module with truncated logarithmic factors."""
-    return NilssonExtension(module, orders)
-
-
 def nils_map(ext: NilssonExtension) -> Matrix:
     """The comparison map ``m -> sum over the box of (N^l m) ⊗ e_l``.
 
     >>> n = Matrix.from_rows([[0, 0], [1, 0]])
     >>> mod = MonodromicModule([Fraction(-1, 2)], [n])
-    >>> nils_map(nilsson_tensor(mod, [1])).rank()
+    >>> nils_map(NilssonExtension(mod, [1])).rank()
     2
     """
     mod = ext.module
@@ -192,7 +189,7 @@ def nils_map(ext: NilssonExtension) -> Matrix:
     for e in ext.exponents():
         power = Matrix.identity(d)
         for i, ei in enumerate(e):
-            power = power * NilpotentOperator(mod.operators[i]).power(ei)
+            power = power * mod.nilpotents[i].power(ei)
         off = ext.offset(e)
         for b in range(d):
             col = power.column(b)
@@ -200,11 +197,6 @@ def nils_map(ext: NilssonExtension) -> Matrix:
                 if col[a]:
                     cols[b][off + a] = cols[b][off + a] + col[a]
     return Matrix.from_columns(cols, ext.dim)
-
-
-def h_minus2(ext: NilssonExtension) -> Subspace:
-    """Joint kernel of the connection operators (top-corner cohomology)."""
-    return ext.joint_kernel()
 
 
 class NilsIsoReport(Immutable):
@@ -286,9 +278,9 @@ def two_path_compare(module: MonodromicModule, orders: Sequence[int]) -> TwoPath
     ks = tuple(int(k) for k in orders)
     ext = NilssonExtension(module, ks)
     d = module.dim
-    n0, n1 = module.operators
-    p0 = [NilpotentOperator(n0).power(t) for t in range(ks[0] + 1)]
-    p1 = [NilpotentOperator(n1).power(t) for t in range(ks[1] + 1)]
+    n0, n1 = module.nilpotents
+    p0 = [n0.power(t) for t in range(ks[0] + 1)]
+    p1 = [n1.power(t) for t in range(ks[1] + 1)]
 
     def composite(first_slot: int) -> Matrix:
         cols: List[List[Fraction]] = [[Fraction(0)] * ext.dim for _ in range(d)]

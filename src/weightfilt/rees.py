@@ -36,8 +36,9 @@ class ReesModule:
 
     piece_dims maps each box point to the dimension of its graded piece and
     maps[(point, i)] is the matrix of the i-th variable acting from
-    ``point - e_i`` into ``point``.  Commuting squares are validated at
-    construction.
+    ``point - e_i`` into ``point``.  The structure maps must commute: a
+    hand-built module has every square checked at construction, while
+    `rees_of` skips the check because its squares commute by construction.
     """
 
     def __init__(
@@ -46,7 +47,6 @@ class ReesModule:
         box: Sequence[Tuple[int, int]],
         piece_dims: Dict[Point, int],
         maps: Dict[Tuple[Point, int], Matrix],
-        piece_spaces: Optional[Dict[Point, Subspace]] = None,
         validate: bool = True,
         lattice: Optional[IndexLattice] = None,
     ) -> None:
@@ -60,7 +60,6 @@ class ReesModule:
                 raise ValueError("empty box interval")
         self.piece_dims = dict(piece_dims)
         self.maps = dict(maps)
-        self.piece_spaces = piece_spaces
         for p in self.points():
             if p not in self.piece_dims:
                 raise ValueError(f"missing piece dimension at {p}")
@@ -106,14 +105,6 @@ class ReesModule:
 
     def piece_dim(self, p: Point) -> int:
         return self._raw_dim(p)
-
-    def piece_space(self, p: Point) -> Optional[Subspace]:
-        if self.piece_spaces is None:
-            return None
-        if any(x < lo for x, (lo, _) in zip(p, self.box)):
-            amb = next(iter(self.piece_spaces.values())).ambient_dim
-            return Subspace.zero(amb)
-        return self.piece_spaces[self._clamp(p)]
 
     def map_matrix(self, p: Point, i: int) -> Matrix:
         """Matrix of the i-th variable acting from ``p - e_i`` into ``p``."""
@@ -193,7 +184,11 @@ def rees_of(mf: MultiFiltration) -> ReesModule:
             cols = [tgt.rref_coordinates(b) for b in src.basis]
             maps[(p, i)] = Matrix.from_columns(cols, tgt.dim)
 
-    return ReesModule(len(mf), box, dims, maps, piece_spaces=spaces, validate=True, lattice=lat)
+    # No square check: each stored map is tgt.rref_coordinates(b) for b in
+    # src.basis, with src <= tgt because values of validated increasing
+    # filtrations nest, so both paths around a square are the coordinate
+    # matrix of one inclusion.
+    return ReesModule(len(mf), box, dims, maps, validate=False, lattice=lat)
 
 
 class KoszulComplexData:
@@ -201,8 +196,9 @@ class KoszulComplexData:
 
     Components sit in degrees ``-len(seq) .. 0``; the component in degree
     ``-t`` is the direct sum over size-t subsets ``S`` of the pieces at the
-    multidegree lowered by the indicator of ``S``.  ``d * d == 0`` is
-    verified at construction.
+    multidegree lowered by the indicator of ``S``.  ``d * d == 0`` holds
+    by construction: the module's squares commute (checked for a hand-built
+    module, true by construction for `rees_of`) and the signs alternate.
     """
 
     def __init__(self, rees: ReesModule, seq: Sequence[int], multidegree: Point) -> None:
@@ -253,10 +249,6 @@ class KoszulComplexData:
             diffs.append(Matrix(grid, total_tgt, total_src))
         self.differentials = tuple(diffs)
 
-        for t in range(1, r):
-            if not (self.differentials[t - 1] * self.differentials[t]).is_zero():
-                raise AssertionError("Koszul differential does not square to zero")
-
     @staticmethod
     def _lowered(m: Point, S: Sequence[int]) -> Point:
         return tuple(x - (1 if i in S else 0) for i, x in enumerate(m))
@@ -274,10 +266,6 @@ class KoszulComplexData:
 
     def __repr__(self) -> str:
         return f"KoszulComplexData(seq={self.seq}, multidegree={self.multidegree})"
-
-
-def koszul_complex(rees: ReesModule, seq: Sequence[int], multidegree: Point) -> KoszulComplexData:
-    return KoszulComplexData(rees, seq, multidegree)
 
 
 def koszul_homology(rees: ReesModule, seq: Sequence[int], multidegree: Point) -> Dict[int, int]:

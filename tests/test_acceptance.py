@@ -56,7 +56,7 @@ from weightfilt.nearby import (
     nils_iso_check,
     two_path_compare,
 )
-from weightfilt.rees import is_regular_sequence, koszul_complex, rees_of
+from weightfilt.rees import KoszulComplexData, is_regular_sequence, rees_of
 from weightfilt.rees import compatibility_via_flatness
 
 from strategies import (
@@ -384,7 +384,7 @@ def test_criterion_08_koszul_soundness(compat_corpus):
         hi = tuple(iv[1] for iv in rees.box)
         mid = tuple((a + b) // 2 for a, b in zip(lo, hi))
         for deg in {lo, hi, mid}:
-            data = koszul_complex(rees, tuple(range(nv)), deg)
+            data = KoszulComplexData(rees, tuple(range(nv)), deg)
             for t in range(1, len(data.differentials)):
                 assert (data.differentials[t - 1] * data.differentials[t]).is_zero()
     assert checked == len(compat_corpus)

@@ -1,0 +1,107 @@
+"""Reference checks for invariants that hold by construction.
+
+`rees_of` skips the commuting-square check, `KoszulComplexData` does not
+multiply its differentials, and graded bilinear structures and monodromic
+modules keep the nilpotent operators they certify instead of rebuilding
+them.  Each test here recomputes what is no longer checked at run time.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weightfilt.exact import Matrix
+from weightfilt.filtration import MultiFiltration
+from weightfilt.fixtures import fixture_Vk, fixture_tensor_jordan
+from weightfilt.lefschetz import merge_slots
+from weightfilt.monodromy import NilpotentOperator
+from weightfilt.nearby import MonodromicModule
+from weightfilt.rees import KoszulComplexData, ReesModule, rees_of
+
+from strategies import multifiltrations, nilpotent_matrices, random_filtration
+
+
+@given(mf=multifiltrations())
+@settings(max_examples=40, deadline=None)
+def test_rees_of_passes_the_full_square_check(mf):
+    rees_of(mf)._check_squares()
+
+
+@given(mf=multifiltrations())
+@settings(max_examples=25, deadline=None)
+def test_koszul_differentials_square_to_zero(mf):
+    rees = rees_of(mf)
+    for size in range(1, rees.nvars + 1):
+        for seq in combinations(range(rees.nvars), size):
+            for p in rees.interesting_points():
+                d = KoszulComplexData(rees, seq, p).differentials
+                for t in range(1, len(d)):
+                    assert (d[t - 1] * d[t]).is_zero()
+
+
+def _seeded_mf():
+    rng = random.Random(3)
+    return MultiFiltration([random_filtration(rng, 3) for _ in range(3)])
+
+
+def test_rees_of_does_not_check_squares(monkeypatch):
+    def refuse(self):
+        raise AssertionError("rees_of reached _check_squares")
+
+    monkeypatch.setattr(ReesModule, "_check_squares", refuse)
+    rees_of(_seeded_mf())
+
+
+def test_koszul_complex_multiplies_no_differentials(monkeypatch):
+    rees = rees_of(_seeded_mf())
+    top = tuple(hi for _, hi in rees.box)
+
+    def refuse(self, other):
+        raise AssertionError("KoszulComplexData multiplied matrices")
+
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    KoszulComplexData(rees, tuple(range(rees.nvars)), top)
+
+
+def _assert_nilpotents_match(structure):
+    assert len(structure.nilpotents) == len(structure.operators)
+    for nil, op in zip(structure.nilpotents, structure.operators):
+        fresh = NilpotentOperator(op)
+        assert nil.matrix == op
+        for k in range(op.rows + 2):
+            assert nil.power(k) == fresh.power(k)
+
+
+@st.composite
+def graded_structures(draw):
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2))
+    structure = fixture_tensor_jordan(sizes).structure()
+    if len(sizes) == 2 and draw(st.booleans()):
+        structure = merge_slots(structure, 0, 1)
+    return structure
+
+
+@given(structure=graded_structures())
+@settings(max_examples=15, deadline=None)
+def test_graded_structure_keeps_its_certified_operators(structure):
+    _assert_nilpotents_match(structure)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_vk_structure_keeps_its_certified_operator(k):
+    _assert_nilpotents_match(fixture_Vk(k).structure())
+
+
+@given(n=nilpotent_matrices(max_dim=5), nvars=st.integers(min_value=1, max_value=3))
+@settings(max_examples=30, deadline=None)
+def test_monodromic_module_keeps_its_certified_operators(n, nvars):
+    ops = [n]
+    while len(ops) < nvars:
+        ops.append(ops[-1] * n)
+    mod = MonodromicModule([Fraction(-1, 2)] * nvars, ops)
+    _assert_nilpotents_match(mod)
+    assert mod.nil_orders() == tuple(NilpotentOperator(op).nil_order for op in ops)

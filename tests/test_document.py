@@ -124,6 +124,15 @@ class TestContainerRoundTrips:
         m = monodromy_filtration(fixture_Vk(2).lowering, center=2)
         assert all(type(k) is int for k in m.jumps() + (m.center,))
 
+    def test_centered_filtration_rejects_fractional_index(self):
+        with pytest.raises(ValueError, match="index 0 is not an integer"):
+            centered_filtration_to_json(Filtration.trivial(2))
+
+    def test_centered_filtration_rejects_fractional_center(self):
+        w = Filtration(2, [(0, Subspace.full(2))], center=Fraction(1, 2))
+        with pytest.raises(ValueError, match="center 1/2 is not an integer"):
+            centered_filtration_to_json(w)
+
     def test_filtration_requires_spans(self):
         with pytest.raises(DocumentError):
             filtration_from_json(

@@ -15,10 +15,8 @@ from weightfilt.nearby import (
     MonodromicModule,
     NilssonExtension,
     NilssonFactor,
-    h_minus2,
     nils_iso_check,
     nils_map,
-    nilsson_tensor,
     two_path_compare,
 )
 
@@ -96,22 +94,22 @@ class TestNilssonFactor:
 class TestNilssonExtension:
     def test_dimension_is_the_product_formula(self):
         mod = _pair_module((2, 3))
-        ext = nilsson_tensor(mod, [2, 1])
+        ext = NilssonExtension(mod, [2, 1])
         assert ext.dim == mod.dim * 3 * 2
 
     def test_exponents_cover_the_box(self):
-        ext = nilsson_tensor(_pair_module((2, 2)), [1, 2])
+        ext = NilssonExtension(_pair_module((2, 2)), [1, 2])
         assert sorted(ext.exponents()) == [
             (a, b) for a in range(2) for b in range(3)
         ]
 
     def test_offsets_are_distinct_blocks(self):
-        ext = nilsson_tensor(_pair_module((2, 2)), [1, 1])
+        ext = NilssonExtension(_pair_module((2, 2)), [1, 1])
         offs = sorted(ext.offset(e) for e in ext.exponents())
         assert offs == [i * 4 for i in range(4)]
 
     def test_connection_operators_commute(self):
-        ext = nilsson_tensor(_pair_module((2, 3), seed=5), [1, 2])
+        ext = NilssonExtension(_pair_module((2, 3), seed=5), [1, 2])
         a0 = ext.connection_operator(0)
         a1 = ext.connection_operator(1)
         assert a0.commutes_with(a1)
@@ -119,7 +117,7 @@ class TestNilssonExtension:
     def test_connection_operator_action_on_a_tensor(self):
         # A(m ⊗ e_1) = (N m) ⊗ e_1 - m ⊗ e_0, checked entry by entry
         mod = MonodromicModule([HALF], [J2])
-        ext = nilsson_tensor(mod, [1])
+        ext = NilssonExtension(mod, [1])
         a = ext.connection_operator(0)
         # basis vector m = first module vector at exponent (1,)
         vec = [Fraction(0)] * ext.dim
@@ -132,7 +130,7 @@ class TestNilssonExtension:
 
     def test_rejects_mismatched_order_count(self):
         with pytest.raises(ValueError):
-            nilsson_tensor(_pair_module((2, 2)), [1])
+            NilssonExtension(_pair_module((2, 2)), [1])
 
 
 class TestComparisonMap:
@@ -140,7 +138,7 @@ class TestComparisonMap:
         # the exponent-zero block of the map is the identity
         mod = _pair_module((2, 3), seed=11)
         for orders in ([0, 0], [1, 1], [1, 2], [2, 2]):
-            assert nils_map(nilsson_tensor(mod, orders)).rank() == mod.dim
+            assert nils_map(NilssonExtension(mod, orders)).rank() == mod.dim
 
     def test_iso_exactly_at_the_nil_orders(self):
         mod = _pair_module((2, 3))
@@ -179,9 +177,8 @@ class TestComparisonMap:
 
     def test_image_is_the_joint_kernel_at_nil_orders(self):
         mod = _pair_module((2, 2), seed=3)
-        ext = nilsson_tensor(mod, list(mod.nil_orders()))
+        ext = NilssonExtension(mod, list(mod.nil_orders()))
         assert image_of(nils_map(ext)) == ext.joint_kernel()
-        assert h_minus2(ext) == ext.joint_kernel()
 
 
 class TestTwoPath:

@@ -20,11 +20,11 @@ from weightfilt.filtration import (
     graded_piece,
 )
 from weightfilt.rees import (
+    KoszulComplexData,
     ReesModule,
     compatibility_via_flatness,
     is_flat,
     is_regular_sequence,
-    koszul_complex,
     koszul_homology,
     rees_of,
 )
@@ -106,7 +106,7 @@ class TestKoszul:
         mf = pair_mf()
         rees = rees_of(mf)
         for pt in rees.points():
-            data = koszul_complex(rees, [0, 1], pt)
+            data = KoszulComplexData(rees, [0, 1], pt)
             for t in range(1, len(data.differentials)):
                 assert (data.differentials[t - 1] * data.differentials[t]).is_zero()
 
@@ -130,7 +130,7 @@ class TestKoszul:
     def test_repeated_variable_rejected(self):
         rees = rees_of(pair_mf())
         with pytest.raises(ValueError):
-            koszul_complex(rees, [0, 0], (0, 0))
+            KoszulComplexData(rees, [0, 0], (0, 0))
 
 
 class TestFlatness:

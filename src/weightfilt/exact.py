@@ -775,11 +775,6 @@ class QuotientPresentation(Immutable):
         return f"QuotientPresentation(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def quotient_presentation(v_sub: Subspace, u: Subspace) -> QuotientPresentation:
-    """Present ``v_sub/u``; raises if ``u`` is not inside ``v_sub``."""
-    return QuotientPresentation(v_sub, u)
-
-
 def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
     """Matrix of ``m`` restricted to an invariant subspace, in its basis."""
     cols = []

@@ -9,8 +9,11 @@ of a hypercomplex of subquotients attached to each tuple of values, which is
 the condition actually used downstream (induced gradings commute, Rees-type
 modules are flat, and so on).
 
-The row test is a genuine certificate: a failure comes with the lattice point
-and direction at which exactness breaks.
+Each row ``A/A' -> B/B' -> B/(B'+A)`` is decided by dimension additivity
+alone.  Its second map is onto with kernel ``(A+B')/B'``, the image of the
+first, so the row is exact iff the first map is injective, iff
+``dim B/B' == dim A/A' + dim B/(B'+A)``.  A failure comes with the lattice
+point and direction at which exactness breaks.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import (
     Immutable,
-    Matrix,
     QuotientPresentation,
     Subspace,
     intersection_of,
@@ -186,7 +188,8 @@ class Filtration(Immutable):
         return QuotientPresentation(self.value_at(x), self.value_below(x))
 
     def graded_dims(self) -> Dict[Index, int]:
-        return {x: self.graded_at(x).dim for x in self.jumps()}
+        below = [0] + [s.dim for _, s in self.steps]
+        return {x: s.dim - d for (x, s), d in zip(self.steps, below)}
 
     def shift(self, offset: Index) -> "Filtration":
         """Every index, and the center, moved up by ``offset``."""
@@ -294,30 +297,14 @@ def graded_piece(mf: MultiFiltration, point: Sequence[Fraction]) -> QuotientPres
     return QuotientPresentation(num, den)
 
 
-class HypercomplexCell(Immutable):
-    """One cell of the compatibility hypercomplex of a family of subspaces.
-
-    The cell at a point of ``{-1, 0, +1}^n`` is the subquotient whose
-    numerator intersects the subspaces marked ``-1`` and whose denominator
-    sums the numerator's intersections with the subspaces marked ``+1``.
-    """
-
-    __slots__ = ("point", "presentation")
-
-    def __init__(self, point: Tuple[int, ...], presentation: QuotientPresentation) -> None:
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "presentation", presentation)
-
-    @property
-    def dim(self) -> int:
-        return self.presentation.dim
-
-    def __repr__(self) -> str:
-        return f"HypercomplexCell(point={self.point}, dim={self.dim})"
-
-
 class SubobjectCompatibility(Immutable):
     """Verdict of the hypercomplex row-exactness test for a subspace family.
+
+    ``cell_dims`` maps each point of ``{-1, 0, +1}^n`` to the dimension of
+    its cell: the intersection of the subspaces marked ``-1``, modulo the
+    sum of its intersections with the subspaces marked ``+1``.  A row is
+    exact iff its middle dimension is the sum of the outer two (see the
+    module docstring for why).
 
     ``witness`` is None on success; otherwise it is the lexicographically
     smallest failing lattice point together with the direction whose row
@@ -345,31 +332,6 @@ class SubobjectCompatibility(Immutable):
         return f"SubobjectCompatibility(witness={self.witness})"
 
 
-def _inclusion_induced(src: QuotientPresentation, dst: QuotientPresentation) -> Matrix:
-    """Matrix of the map induced by the identity between nested subquotients."""
-    cols = [dst.reduce(rep) for rep in src.reps]
-    return Matrix.from_columns(cols, dst.dim)
-
-
-def _row_is_exact(
-    left: QuotientPresentation,
-    mid: QuotientPresentation,
-    right: QuotientPresentation,
-) -> bool:
-    """Exactness of 0 -> left -> mid -> right -> 0 with inclusion-induced maps."""
-    if mid.dim != left.dim + right.dim:
-        return False
-    f = _inclusion_induced(left, mid)
-    g = _inclusion_induced(mid, right)
-    if not (g * f).is_zero():
-        return False
-    if f.rank() != left.dim:
-        return False
-    if g.rank() != right.dim:
-        return False
-    return True
-
-
 @lru_cache(maxsize=1 << 14)
 def _subobject_compatibility_cached(
     subspaces: Tuple[Subspace, ...], ambient_dim: int
@@ -383,30 +345,28 @@ def _subobject_compatibility_cached(
             base = frozenset(combo[:-1])
             inter[frozenset(combo)] = inter[base].intersect(subspaces[combo[-1]])
 
-    cells: Dict[Tuple[int, ...], QuotientPresentation] = {}
+    dims: Dict[Tuple[int, ...], int] = {}
     for point in product((-1, 0, 1), repeat=n):
         neg = frozenset(i for i, k in enumerate(point) if k == -1)
-        pos = [j for j, k in enumerate(point) if k == 1]
-        num = inter[neg]
-        den = Subspace.zero(ambient_dim)
-        for j in pos:
-            den = den.sum(inter[neg | {j}])
-        cells[point] = QuotientPresentation(num, den)
+        den = sum_of([inter[neg | {j}] for j, k in enumerate(point) if k == 1], ambient_dim)
+        dims[point] = inter[neg].dim - den.dim
 
     witness: Optional[Tuple[Tuple[int, ...], int]] = None
-    for point in sorted(cells):
+    for point in sorted(dims):
         for i in range(n):
             if point[i] != -1:
                 continue
             mid = point[:i] + (0,) + point[i + 1 :]
             right = point[:i] + (1,) + point[i + 1 :]
-            if not _row_is_exact(cells[point], cells[mid], cells[right]):
+            # The row is A/A' -> B/B' -> B/(B'+A) with A <= B and A' <= B'.
+            # g is onto and im f = (A+B')/B' = ker g, so the row is exact
+            # iff f is injective, iff dim mid == dim left + dim right.
+            if dims[mid] != dims[point] + dims[right]:
                 witness = (point, i)
                 break
         if witness is not None:
             break
 
-    dims = {p: c.dim for p, c in cells.items()}
     return SubobjectCompatibility(witness is None, witness, dims)
 
 
@@ -538,4 +498,4 @@ def iterated_graded(
 
 def total_graded_dimension(f: Filtration) -> int:
     """Sum of graded dimensions; always the ambient dimension."""
-    return sum(f.graded_at(x).dim for x in f.jumps())
+    return sum(f.graded_dims().values())

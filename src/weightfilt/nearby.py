@@ -21,8 +21,10 @@ is checked matrix-by-matrix, never assumed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
-from typing import List, Sequence, Tuple
+from operator import mul
+from typing import Callable, List, Sequence, Tuple
 
 from .exact import Immutable, Matrix, Subspace, intersection_of, kernel_of, image_of
 from .monodromy import NilpotentOperator, require_commuting
@@ -175,6 +177,15 @@ class NilssonExtension(Immutable):
         return f"NilssonExtension(dim={self.dim}, orders={self.orders})"
 
 
+def _comparison_map(ext: NilssonExtension, power_at: Callable[[Tuple[int, ...]], Matrix]) -> Matrix:
+    """The map ``m -> sum over the box of (power_at(l) m) ⊗ e_l``.
+
+    Each exponent owns its own block of rows, so the map stacks the powers.
+    """
+    rows = [row for e in ext.exponents() for row in power_at(e).entries]
+    return Matrix(rows, ext.dim, ext.module.dim)
+
+
 def nils_map(ext: NilssonExtension) -> Matrix:
     """The comparison map ``m -> sum over the box of (N^l m) ⊗ e_l``.
 
@@ -183,20 +194,10 @@ def nils_map(ext: NilssonExtension) -> Matrix:
     >>> nils_map(NilssonExtension(mod, [1])).rank()
     2
     """
-    mod = ext.module
-    d = mod.dim
-    cols: List[List[Fraction]] = [[Fraction(0)] * ext.dim for _ in range(d)]
-    for e in ext.exponents():
-        power = Matrix.identity(d)
-        for i, ei in enumerate(e):
-            power = power * mod.nilpotents[i].power(ei)
-        off = ext.offset(e)
-        for b in range(d):
-            col = power.column(b)
-            for a in range(d):
-                if col[a]:
-                    cols[b][off + a] = cols[b][off + a] + col[a]
-    return Matrix.from_columns(cols, ext.dim)
+    nils = ext.module.nilpotents
+    return _comparison_map(
+        ext, lambda e: reduce(mul, (nil.power(k) for nil, k in zip(nils, e)))
+    )
 
 
 class NilsIsoReport(Immutable):
@@ -277,28 +278,11 @@ def two_path_compare(module: MonodromicModule, orders: Sequence[int]) -> TwoPath
         raise ValueError("the two-path comparison is defined for two variables")
     ks = tuple(int(k) for k in orders)
     ext = NilssonExtension(module, ks)
-    d = module.dim
     n0, n1 = module.nilpotents
     p0 = [n0.power(t) for t in range(ks[0] + 1)]
     p1 = [n1.power(t) for t in range(ks[1] + 1)]
-
-    def composite(first_slot: int) -> Matrix:
-        cols: List[List[Fraction]] = [[Fraction(0)] * ext.dim for _ in range(d)]
-        for e in ext.exponents():
-            if first_slot == 0:
-                power = p1[e[1]] * p0[e[0]]
-            else:
-                power = p0[e[0]] * p1[e[1]]
-            off = ext.offset(e)
-            for b in range(d):
-                col = power.column(b)
-                for a in range(d):
-                    if col[a]:
-                        cols[b][off + a] = cols[b][off + a] + col[a]
-        return Matrix.from_columns(cols, ext.dim)
-
-    first = composite(0)
-    second = composite(1)
+    first = _comparison_map(ext, lambda e: p1[e[1]] * p0[e[0]])
+    second = _comparison_map(ext, lambda e: p0[e[0]] * p1[e[1]])
     equal = first == second
     img = image_of(first)
     ker = ext.joint_kernel()

@@ -39,6 +39,11 @@ class ReesModule:
     ``point - e_i`` into ``point``.  The structure maps must commute: a
     hand-built module has every square checked at construction, while
     `rees_of` skips the check because its squares commute by construction.
+    ``saturated_top[i]`` records whether the i-th variable acts by the
+    identity on the top slice of the box.  A hand-built module has this
+    tested; with ``validate=False``, used only by `rees_of`, every entry is
+    True, because that box ends one step above the last jump, where every
+    filtration value is already the full space.
     """
 
     def __init__(
@@ -72,10 +77,12 @@ class ReesModule:
                 m = self.maps[key]
                 if (m.rows, m.cols) != (tgt, src):
                     raise ValueError(f"map at {key} has shape {(m.rows, m.cols)}, expected {(tgt, src)}")
-        self.saturated_top = tuple(self._top_is_identity(i) for i in range(nvars))
         self._cache: Dict[object, object] = {}
         if validate:
+            self.saturated_top = tuple(self._top_is_identity(i) for i in range(nvars))
             self._check_squares()
+        else:
+            self.saturated_top = (True,) * nvars
 
     # -- geometry ---------------------------------------------------------
 

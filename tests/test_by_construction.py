@@ -1,9 +1,12 @@
 """Reference checks for invariants that hold by construction.
 
-`rees_of` skips the commuting-square check, `KoszulComplexData` does not
-multiply its differentials, and graded bilinear structures and monodromic
-modules keep the nilpotent operators they certify instead of rebuilding
-them.  Each test here recomputes what is no longer checked at run time.
+`rees_of` skips the commuting-square check and takes its top slices as
+saturated, the subquotient row test compares dimensions only (the
+induced-matrix reference is in test_filtration.py), `KoszulComplexData`
+does not multiply its differentials, and graded bilinear structures and
+monodromic modules keep the nilpotent operators they certify instead of
+rebuilding them.  Each test here recomputes what is no longer checked at
+run time.
 """
 
 import random
@@ -11,11 +14,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weightfilt.exact import Matrix
-from weightfilt.filtration import MultiFiltration
+from weightfilt.exact import Matrix, QuotientPresentation, Subspace
+from weightfilt.filtration import Filtration, MultiFiltration, _subobject_compatibility_cached
 from weightfilt.fixtures import fixture_Vk, fixture_tensor_jordan
 from weightfilt.lefschetz import merge_slots
 from weightfilt.monodromy import NilpotentOperator
@@ -29,6 +32,15 @@ from strategies import multifiltrations, nilpotent_matrices, random_filtration
 @settings(max_examples=40, deadline=None)
 def test_rees_of_passes_the_full_square_check(mf):
     rees_of(mf)._check_squares()
+
+
+@given(mf=multifiltrations())
+@example(mf=MultiFiltration([Filtration(0, [])]))
+@settings(max_examples=40, deadline=None)
+def test_rees_of_top_slices_are_identities(mf):
+    rees = rees_of(mf)
+    assert rees.saturated_top == tuple(rees._top_is_identity(i) for i in range(rees.nvars))
+    assert all(rees.saturated_top)
 
 
 @given(mf=multifiltrations())
@@ -54,6 +66,25 @@ def test_rees_of_does_not_check_squares(monkeypatch):
 
     monkeypatch.setattr(ReesModule, "_check_squares", refuse)
     rees_of(_seeded_mf())
+
+
+def test_rees_of_does_not_test_its_top_slices(monkeypatch):
+    def refuse(self, i):
+        raise AssertionError("rees_of reached _top_is_identity")
+
+    monkeypatch.setattr(ReesModule, "_top_is_identity", refuse)
+    rees_of(_seeded_mf())
+
+
+def test_subobject_rows_build_no_presentations_or_matrices(monkeypatch):
+    lines = tuple(Subspace.span([v], 2) for v in ((1, 0), (0, 1), (1, 1)))
+
+    def refuse(self, *args):
+        raise AssertionError("the row test built a presentation or a matrix")
+
+    monkeypatch.setattr(QuotientPresentation, "__init__", refuse)
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    assert not _subobject_compatibility_cached.__wrapped__(lines, 2).compatible
 
 
 def test_koszul_complex_multiplies_no_differentials(monkeypatch):

@@ -16,7 +16,6 @@ from weightfilt.exact import (
     image_of,
     is_positive_definite,
     kernel_of,
-    quotient_presentation,
     rank_of_rows,
     solve_columns,
 )
@@ -197,19 +196,19 @@ class TestQuotientPresentation:
     @given(subspaces(ambient_dim=4), subspaces(ambient_dim=4))
     def test_dimension(self, a, b):
         num = a.sum(b)
-        q = quotient_presentation(num, b)
+        q = QuotientPresentation(num, b)
         assert q.dim == num.dim - b.dim
 
     @given(subspaces(ambient_dim=3))
     def test_reduce_kills_denominator(self, den):
-        q = quotient_presentation(Subspace.full(3), den)
+        q = QuotientPresentation(Subspace.full(3), den)
         zero = tuple(Fraction(0) for _ in range(q.dim))
         for v in den.basis:
             assert q.reduce(v) == zero
 
     @given(subspaces(ambient_dim=3))
     def test_lift_then_reduce_is_identity(self, den):
-        q = quotient_presentation(Subspace.full(3), den)
+        q = QuotientPresentation(Subspace.full(3), den)
         for k in range(q.dim):
             e = tuple(Fraction(1) if i == k else Fraction(0) for i in range(q.dim))
             assert q.reduce(q.lift(e)) == e

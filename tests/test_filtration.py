@@ -6,14 +6,15 @@ rows.  Its agreement with the blowup/flatness route lives in test_rees.py
 and the acceptance suite; nothing in this file consults the other oracle.
 """
 
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weightfilt.exact import Subspace, quotient_presentation
+from weightfilt.exact import Matrix, QuotientPresentation, Subspace, intersection_of, sum_of
 from weightfilt.filtration import (
     Filtration,
     IndexLattice,
@@ -41,6 +42,63 @@ def _two_step(sub):
 
 
 THREE_LINES = MultiFiltration([_two_step(_line(1, 0)), _two_step(_line(0, 1)), _two_step(_line(1, 1))])
+
+
+def _reference_cells(subs, n):
+    """Every hypercomplex cell as a presented subquotient."""
+    cells = {}
+    for point in product((-1, 0, 1), repeat=len(subs)):
+        num = intersection_of([s for s, k in zip(subs, point) if k == -1], n)
+        den = sum_of([num.intersect(s) for s, k in zip(subs, point) if k == 1], n)
+        cells[point] = QuotientPresentation(num, den)
+    return cells
+
+
+def _inclusion_induced(src, dst):
+    return Matrix.from_columns([dst.reduce(rep) for rep in src.reps], dst.dim)
+
+
+def _reference_row_is_exact(cells, point, i):
+    """Exactness of the row through ``point`` in direction ``i``, from the
+    matrices of the inclusion-induced maps f: left -> mid and g: mid -> right.
+
+    Whatever the input, g∘f == 0 and g is onto, and f is injective exactly
+    when the dimensions add up.
+    """
+    left = cells[point]
+    mid = cells[point[:i] + (0,) + point[i + 1 :]]
+    right = cells[point[:i] + (1,) + point[i + 1 :]]
+    f = _inclusion_induced(left, mid)
+    g = _inclusion_induced(mid, right)
+    assert (g * f).is_zero()
+    assert g.rank() == right.dim
+    additive = mid.dim == left.dim + right.dim
+    assert (f.rank() == left.dim) == additive
+    return additive
+
+
+def _reference_rows(cells, n):
+    """Every row as ``((point, direction), exact)``, in lexicographic order."""
+    return [
+        ((point, i), _reference_row_is_exact(cells, point, i))
+        for point in sorted(cells)
+        for i in range(n)
+        if point[i] == -1
+    ]
+
+
+def _random_family(seed):
+    """1–4 random subspaces of a space of dimension 1–5.  About one family
+    in twelve is incompatible; hypothesis' own draws, which favour zero
+    vectors, almost never give one."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+
+    def subspace():
+        vecs = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.randint(0, n))]
+        return Subspace.span(vecs, n)
+
+    return [subspace() for _ in range(rng.randint(1, 4))]
 
 
 class TestIndexLattice:
@@ -106,7 +164,7 @@ class TestFiltration:
     def test_induced_on_is_a_filtration_of_the_piece(self, f, sub):
         if sub.dim == 0:
             return
-        piece = quotient_presentation(sub, Subspace.zero(3))
+        piece = QuotientPresentation(sub, Subspace.zero(3))
         induced = f.induced_on(piece)
         assert induced.ambient_dim == piece.dim
         assert sum(induced.graded_dims().values()) == piece.dim
@@ -141,11 +199,24 @@ class TestSubobjectCompatibility:
         assert len(verdicts) == 1
 
     def test_witness_is_lexicographically_first(self):
-        report = compatible_subobjects([_line(1, 0), _line(0, 1), _line(1, 1)])
-        point, _ = report.witness
-        # nothing smaller can fail: re-scan every lexicographically earlier point
-        for other, d in ((p, i) for p in sorted(report.cell_dims) if p < point for i in range(3)):
-            pass  # cell dims exist for all points; detailed scan happens inside
+        subs = [_line(1, 0), _line(0, 1), _line(1, 1)]
+        report = compatible_subobjects(subs)
+        rows = dict(_reference_rows(_reference_cells(subs, 2), 3))
+        assert rows[report.witness] is False
+        assert all(exact for row, exact in rows.items() if row < report.witness)
+
+    @given(subs=st.integers(min_value=0, max_value=2**32 - 1).map(_random_family))
+    @example(subs=[_line(1, 0), _line(0, 1), _line(1, 1)])
+    @example(subs=[_line(1, 0), _line(0, 1), _line(1, 1), _line(1, -1)])
+    @settings(max_examples=150, deadline=None)
+    def test_dimension_check_matches_induced_matrix_rows(self, subs):
+        n = subs[0].ambient_dim
+        cells = _reference_cells(subs, n)
+        failing = [row for row, exact in _reference_rows(cells, len(subs)) if not exact]
+        report = compatible_subobjects(subs)
+        assert report.compatible == (not failing)
+        assert report.witness == (failing[0] if failing else None)
+        assert report.cell_dims == {p: c.dim for p, c in cells.items()}
 
 
 class TestFiltrationCompatibility:

@@ -17,7 +17,6 @@ from weightfilt.exact import (
 from weightfilt.filtration import (
     Filtration,
     FiltrationCompatibility,
-    HypercomplexCell,
     IndexLattice,
     MultiFiltration,
     SubobjectCompatibility,
@@ -97,7 +96,6 @@ FACTORIES = {
     IndexLattice: lambda: IndexLattice([Fraction(1, 2)]),
     Filtration: lambda: Filtration.trivial(2),
     MultiFiltration: _multifiltration,
-    HypercomplexCell: lambda: HypercomplexCell((0,), _quotient()),
     SubobjectCompatibility: lambda: compatible_subobjects([Subspace.full(2)]),
     FiltrationCompatibility: lambda: compatible_filtrations(_multifiltration()),
     NilpotentOperator: lambda: NilpotentOperator(J2),

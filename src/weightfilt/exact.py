@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 ScalarLike = Union[int, Fraction, "GaussianRational", str]
@@ -27,7 +27,9 @@ class Immutable:
 
     Subclasses declare their own ``__slots__`` and fill them with
     ``object.__setattr__``; afterwards assigning or deleting an attribute
-    raises, which keeps cached hashes valid.
+    raises, which keeps cached hashes valid.  (A private constructor may
+    fill the slots instead of ``__init__``, and a ``_hash`` slot may be
+    filled on the first ``__hash__`` call.)
     """
 
     __slots__ = ()
@@ -181,10 +183,76 @@ def _as_vector(v: Iterable[ScalarLike]) -> Vector:
     return tuple(as_scalar(x) for x in v)
 
 
+_ZERO = Fraction(0)
+
+
+def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> Optional[List[List[int]]]:
+    """The nonzero rows, each scaled to integers by the lcm of its
+    denominators; None if an entry is not rational (a `GaussianRational`)."""
+    out: List[List[int]] = []
+    for row in rows:
+        try:
+            dens = [x.denominator for x in row]
+        except AttributeError:
+            return None
+        scale = lcm(*dens)
+        if scale == 1:
+            ints = [x.numerator for x in row]
+        else:
+            ints = [x.numerator * (scale // d) for x, d in zip(row, dens)]
+        if any(ints):
+            out.append(ints)
+    return out
+
+
+def _eliminate(mat: List[List[int]], above: bool) -> List[int]:
+    """Fraction-free elimination of integer rows, in place; returns the pivots.
+
+    For each pivot ``p`` in row ``r`` and entry ``e`` of row ``i`` in its
+    column, row ``i`` becomes ``p*row_i - e*row_r`` divided by the gcd of its
+    entries, which keeps the row space over Q and the entries small.  Rows
+    below the pivot are always cleared; rows above it only when ``above``
+    (Gauss–Jordan).  Afterwards the first ``len(pivots)`` rows hold the
+    pivots in order and the rest are zero.
+    """
+    n = len(mat)
+    pivots: List[int] = []
+    if not n:
+        return pivots
+    r = 0
+    for c in range(len(mat[0])):
+        for i in range(r, n):
+            if mat[i][c]:
+                break
+        else:
+            continue
+        mat[r], mat[i] = mat[i], mat[r]
+        pr = mat[r]
+        p = pr[c]
+        for i in range(0 if above else r + 1, n):
+            ri = mat[i]
+            e = ri[c]
+            if e and i != r:
+                new = [p * a - e * b for a, b in zip(ri, pr)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [a // g for a in new]
+                mat[i] = new
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return pivots
+
+
 def rref(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
     """Reduced row echelon form.  Returns (nonzero reduced rows, pivot columns).
 
-    Works over any exact field whose elements support +,-,*,/ and truthiness.
+    Rows of `int` and `Fraction` entries are scaled to integers and reduced
+    fraction-free by `_eliminate`; each pivot row is divided by its pivot
+    only at the end, so every returned entry is a `Fraction`.  Rows holding
+    a `GaussianRational` take the generic field loop.  The RREF is unique,
+    so both routes return the same rows and pivots.
 
     >>> reduced, pivots = rref([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]])
     >>> reduced
@@ -192,7 +260,21 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]], List[int
     >>> pivots
     [0]
     """
-    work = [list(r) for r in rows]
+    mat = _integer_rows(rows)
+    if mat is None:
+        return _field_rref(rows)
+    pivots = _eliminate(mat, above=True)
+    return [
+        [Fraction(a, row[c]) if a else _ZERO for a in row]
+        for row, c in zip(mat, pivots)
+    ], pivots
+
+
+def _field_rref(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
+    """Gauss–Jordan over any exact field whose elements support +,-,*,/ and
+    truthiness; `rref` and `rank_of_rows` use it for Gaussian rows.  Ints are
+    coerced first, so that no division yields a float."""
+    work = [[as_scalar(x) for x in r] for r in rows]
     if not work:
         return [], []
     ncols = len(work[0])
@@ -226,51 +308,14 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]], List[int
 def rank_of_rows(rows: Sequence[Sequence[Scalar]]) -> int:
     """Rank of a list of row vectors.
 
-    Rational rows are scaled to integers and eliminated fraction-free
-    (Bareiss), which is much faster than Fraction arithmetic on the hot
-    paths (Koszul homology sweeps).  Gaussian rows fall back to generic rref.
+    Rational rows take the forward half of `rref`'s integer elimination:
+    rows are cleared below each pivot only, and no `Fraction` is built.
+    Gaussian rows take the generic field loop.
     """
-    mat: List[List[int]] = []
-    for row in rows:
-        ints: List[int] = []
-        scale = 1
-        for x in row:
-            if isinstance(x, GaussianRational):
-                return len(rref(rows)[0])
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        for x in row:
-            ints.append(x.numerator * (scale // x.denominator))
-        if any(ints):
-            mat.append(ints)
-    if not mat:
-        return 0
-    n, ncols = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, n):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pr = mat[r]
-        p = pr[c]
-        for i in range(r + 1, n):
-            ri = mat[i]
-            e = ri[c]
-            for j in range(c + 1, ncols):
-                ri[j] = (p * ri[j] - e * pr[j]) // prev
-            ri[c] = 0
-        prev = p
-        rank += 1
-        r += 1
-        if r == n:
-            break
-    return rank
+    mat = _integer_rows(rows)
+    if mat is None:
+        return len(_field_rref(rows)[0])
+    return len(_eliminate(mat, above=False))
 
 
 def solve_columns(
@@ -320,7 +365,7 @@ class Matrix(Immutable):
         object.__setattr__(self, "rows", nrows)
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "_hash", hash((nrows, ncols, grid)))
+        object.__setattr__(self, "_hash", None)
 
     # -- constructors ----------------------------------------------------
 
@@ -476,6 +521,9 @@ class Matrix(Immutable):
         )
 
     def __hash__(self) -> int:
+        # computed on first use: most matrices are never hashed
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.entries)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -505,14 +553,30 @@ class Subspace(Immutable):
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("basis vector length does not match ambient dimension")
-        reduced, pivots = rref(vecs)
-        canon = tuple(tuple(row) for row in reduced)
+        # no vectors: the empty basis is already reduced
+        reduced, pivots = rref(vecs) if vecs else ((), ())
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", canon)
+        object.__setattr__(self, "basis", tuple(tuple(row) for row in reduced))
         object.__setattr__(self, "_pivots", tuple(pivots))
-        object.__setattr__(self, "_hash", hash((ambient_dim, canon)))
+        object.__setattr__(self, "_hash", None)
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, ambient_dim: int, basis: Tuple[Vector, ...], pivots: Tuple[int, ...]) -> "Subspace":
+        """A subspace from rows already in reduced row echelon form.
+
+        The caller guarantees that ``basis`` is nonzero rows with a leading 1
+        at each of the increasing ``pivots`` and zeros elsewhere in those
+        columns, which is the basis ``__init__`` would compute, so the
+        elimination is skipped.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_pivots", pivots)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     @classmethod
     def span(cls, vectors: Sequence[Sequence[ScalarLike]], ambient_dim: int) -> "Subspace":
@@ -520,17 +584,18 @@ class Subspace(Immutable):
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [])
+        # the empty basis is in RREF
+        return cls._canonical(ambient_dim, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(
-            ambient_dim,
-            [
-                [Fraction(1) if i == j else Fraction(0) for j in range(ambient_dim)]
-                for i in range(ambient_dim)
-            ],
+        # the rows of the identity are in RREF, with pivots 0, 1, ..., n-1
+        one, zero = Fraction(1), Fraction(0)
+        rows = tuple(
+            tuple(one if i == j else zero for j in range(ambient_dim))
+            for i in range(ambient_dim)
         )
+        return cls._canonical(ambient_dim, rows, tuple(range(ambient_dim)))
 
     # -- basic queries ----------------------------------------------------
 
@@ -629,6 +694,8 @@ class Subspace(Immutable):
         return self.ambient_dim == other.ambient_dim and self.basis == other.basis
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.ambient_dim, self.basis)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -647,16 +714,18 @@ def _sum_and_intersection(u: Subspace, w: Subspace) -> Tuple[Subspace, Subspace]
         block.append(list(b) + list(b))
     for b in w.basis:
         block.append(list(b) + [z] * n)
-    reduced, _ = rref(block)
-    sum_rows: List[Vector] = []
-    int_rows: List[Vector] = []
-    for row in reduced:
-        left, right = tuple(row[:n]), tuple(row[n:])
-        if any(left):
-            sum_rows.append(left)
-        elif any(right):
-            int_rows.append(right)
-    return Subspace(n, sum_rows), Subspace(n, int_rows)
+    reduced, pivots = rref(block)
+    # ``reduced`` is in RREF, so each row is zero left of its pivot and every
+    # pivot column is zero outside its row.  The rows with a pivot in the
+    # left half come first; their left halves are in RREF and span the
+    # projection of the block's row space, u + w.  The other rows have zero
+    # left halves, and their right halves are in RREF and span u ∩ w.  Both
+    # halves are therefore already the canonical bases.
+    k = sum(1 for p in pivots if p < n)
+    return (
+        Subspace._canonical(n, tuple(tuple(row[:n]) for row in reduced[:k]), tuple(pivots[:k])),
+        Subspace._canonical(n, tuple(tuple(row[n:]) for row in reduced[k:]), tuple(p - n for p in pivots[k:])),
+    )
 
 
 def sum_of(spaces: Sequence[Subspace], ambient_dim: int) -> Subspace:

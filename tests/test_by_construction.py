@@ -1,5 +1,7 @@
 """Reference checks for invariants that hold by construction.
 
+`Subspace.zero`, `Subspace.full` and the Zassenhaus sum and intersection
+store their rows as the canonical basis without reducing them again,
 `rees_of` skips the commuting-square check and takes its top slices as
 saturated, the subquotient row test compares dimensions only (the
 induced-matrix reference is in test_filtration.py), `KoszulComplexData`
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weightfilt.exact import Matrix, QuotientPresentation, Subspace
+from weightfilt.exact import Matrix, QuotientPresentation, Subspace, _sum_and_intersection
 from weightfilt.filtration import Filtration, MultiFiltration, _subobject_compatibility_cached
 from weightfilt.fixtures import fixture_Vk, fixture_tensor_jordan
 from weightfilt.lefschetz import merge_slots
@@ -25,7 +27,28 @@ from weightfilt.monodromy import NilpotentOperator
 from weightfilt.nearby import MonodromicModule
 from weightfilt.rees import KoszulComplexData, ReesModule, rees_of
 
-from strategies import multifiltrations, nilpotent_matrices, random_filtration
+from strategies import multifiltrations, nilpotent_matrices, random_filtration, subspaces
+
+
+def _assert_canonical(s):
+    again = Subspace(s.ambient_dim, s.basis)
+    assert s.basis == again.basis
+    assert s._pivots == again._pivots
+    assert hash(s) == hash(again)
+
+
+@given(n=st.integers(min_value=0, max_value=5))
+def test_zero_and_full_are_canonical(n):
+    _assert_canonical(Subspace.zero(n))
+    _assert_canonical(Subspace.full(n))
+
+
+@given(data=st.data(), n=st.integers(min_value=1, max_value=5))
+@settings(max_examples=150, deadline=None)
+def test_zassenhaus_halves_are_canonical(data, n):
+    u, w = data.draw(subspaces(n)), data.draw(subspaces(n))
+    for s in _sum_and_intersection(u, w):
+        _assert_canonical(s)
 
 
 @given(mf=multifiltrations())

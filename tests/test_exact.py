@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightfilt.exact import (
@@ -17,6 +17,7 @@ from weightfilt.exact import (
     is_positive_definite,
     kernel_of,
     rank_of_rows,
+    rref,
     solve_columns,
 )
 
@@ -127,6 +128,94 @@ class TestRankAndSolve:
 
     def test_solve_columns_detects_inconsistency(self):
         assert solve_columns([(Fraction(1), Fraction(0))], (Fraction(0), Fraction(1))) is None
+
+    def test_int_rows_give_fractions(self):
+        # floating point is banned: int input must not come back as floats
+        reduced, pivots = rref([[2, 4], [1, 3]])
+        assert reduced == [[1, 0], [0, 1]] and pivots == [0, 1]
+        assert all(type(x) is Fraction for row in reduced for x in row)
+        reduced, _ = rref([[1, 2]])
+        assert all(type(x) is Fraction for row in reduced for x in row)
+        y = solve_columns([(2, 4)], (1, 2))
+        assert y == (Fraction(1, 2),)
+        assert all(type(x) is Fraction for x in y)
+
+
+def _reference_rref(rows):
+    """Gauss–Jordan on `Fraction`s (ints coerced), the field loop `rref`
+    ran on every input before its integer kernel."""
+    work = [[x if isinstance(x, GaussianRational) else Fraction(x) for x in r] for r in rows]
+    if not work:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(work[0])):
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = work[r][c]
+        if inv != 1:
+            work[r] = [x / inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots
+
+
+_rational_entries = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12),
+)
+
+
+@st.composite
+def _row_blocks(draw, entries=_rational_entries):
+    """Row lists with zero, duplicate and dependent rows among random ones;
+    0 rows and width 0 included."""
+    width = draw(st.integers(min_value=0, max_value=6))
+    base = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=5))
+    rows = list(base)
+    for kind in draw(st.lists(st.sampled_from(["zero", "duplicate", "dependent"]), max_size=4)):
+        if kind == "zero" or not base:
+            rows.append([0] * width)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(base))))
+        else:
+            a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+            s, t = draw(_rational_entries), draw(_rational_entries)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return draw(st.permutations(rows)) if rows else rows
+
+
+class TestIntegerKernel:
+    @given(_row_blocks())
+    @example([[2, 4], [1, 2]])
+    @example([[Fraction(1, 3), 1], [0, 5]])
+    @example([])
+    @example([[], []])
+    @settings(max_examples=300, deadline=None)
+    def test_rref_matches_fraction_reference(self, rows):
+        expected = _reference_rref(rows)
+        reduced, pivots = rref(rows)
+        assert (reduced, pivots) == expected
+        assert all(type(x) is Fraction for row in reduced for x in row)
+        assert rank_of_rows(rows) == len(expected[0])
+
+    @given(_row_blocks(st.one_of(_rational_entries, gaussian_scalars())))
+    @settings(max_examples=100, deadline=None)
+    def test_gaussian_rows_match_reference(self, rows):
+        expected = _reference_rref(rows)
+        reduced, pivots = rref(rows)
+        assert (reduced, pivots) == expected
+        assert all(isinstance(x, (Fraction, GaussianRational)) for row in reduced for x in row)
+        assert rank_of_rows(rows) == len(expected[0])
 
 
 class TestSubspace:

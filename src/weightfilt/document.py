@@ -407,7 +407,10 @@ def run_task(doc: Document) -> Dict[str, object]:
 
     elif doc.task == "check-lefschetz":
         structure = graded_structure_from_json(p, path)
-        report = polarization_check(structure)
+        try:
+            report = polarization_check(structure)
+        except ValueError as exc:
+            raise DocumentError(path, str(exc)) from None
         verdict = report.polarized
         details = {
             "primitive_route": report.primitive_route,
@@ -450,6 +453,8 @@ def run_task(doc: Document) -> Dict[str, object]:
             raise DocumentError(f"{path}.multidegree", "wrong multidegree length")
         if any(not 0 <= v < rees.nvars for v in seq):
             raise DocumentError(f"{path}.sequence", "variable index out of range")
+        if len(set(seq)) != len(seq):
+            raise DocumentError(f"{path}.sequence", "variable sequence must not repeat")
         hom = koszul_homology(rees, seq, deg)
         verdict = True
         details = {"homology": {str(k): v for k, v in sorted(hom.items())}}

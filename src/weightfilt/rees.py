@@ -17,6 +17,8 @@ Regularity of a sequence of variables is computed two ways that must agree:
 stepwise injectivity on successive quotients, and vanishing of higher Koszul
 homology of every prefix.  Flatness is likewise computed two ways that must
 agree: every permutation regular, and every nonempty subset regular.
+The injectivity route compares dimensions only: when ``m(A') <= B'``, the
+map ``A/A' -> B/B'`` induced by ``m`` has rank ``dim(m(A) + B') - dim B'``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .exact import Immutable, Matrix, QuotientPresentation, Subspace, intersection_of, sum_of
+from .exact import Immutable, Matrix, Subspace, image_of, sum_of
 from .filtration import IndexLattice, MultiFiltration
 
 Point = Tuple[int, ...]
@@ -63,14 +65,14 @@ class ReesModule:
         for lo, hi in self.box:
             if lo > hi:
                 raise ValueError("empty box interval")
-        self.piece_dims = dict(piece_dims)
+        self.piece_dims = {p: piece_dims[p] for p in self.points() if p in piece_dims}
         self.maps = dict(maps)
         for p in self.points():
             if p not in self.piece_dims:
                 raise ValueError(f"missing piece dimension at {p}")
             for i in range(nvars):
                 key = (p, i)
-                src = self._raw_dim(self._shift(p, i, -1))
+                src = self.piece_dim(self._shift(p, i, -1))
                 tgt = self.piece_dims[p]
                 if key not in self.maps:
                     self.maps[key] = Matrix.zero(tgt, src)
@@ -103,15 +105,15 @@ class ReesModule:
     def _clamp(self, p: Point) -> Point:
         return tuple(min(x, hi) for x, (_, hi) in zip(p, self.box))
 
-    def _raw_dim(self, p: Point) -> int:
-        if any(x < lo for x, (lo, _) in zip(p, self.box)):
-            return 0
-        return self.piece_dims[self._clamp(p)]
-
     # -- accessors (zero below the box, clamped above it) ------------------
 
     def piece_dim(self, p: Point) -> int:
-        return self._raw_dim(p)
+        d = self.piece_dims.get(p)
+        if d is not None:
+            return d
+        if any(x < lo for x, (lo, _) in zip(p, self.box)):
+            return 0
+        return self.piece_dims[self._clamp(p)]
 
     def map_matrix(self, p: Point, i: int) -> Matrix:
         """Matrix of the i-th variable acting from ``p - e_i`` into ``p``."""
@@ -119,8 +121,7 @@ class ReesModule:
         src = self.piece_dim(self._shift(p, i, -1))
         if src == 0 or tgt == 0:
             return Matrix.zero(tgt, src)
-        lo_i, hi_i = self.box[i]
-        if p[i] > hi_i:
+        if p[i] > self.box[i][1]:
             return Matrix.identity(tgt)
         return self.maps[(self._clamp(p), i)]
 
@@ -156,7 +157,8 @@ def rees_of(mf: MultiFiltration) -> ReesModule:
     the union of their fractional offsets.  The box extends one step below
     the first jump (a zero slice) and one step above the last (a saturated
     slice), so the accessors' boundary conventions are visible inside the
-    box itself.
+    box itself.  The piece at ``(p_1, ..., p_k)`` is the piece at
+    ``(p_1, ..., p_{k-1})`` cut by one more value: one intersection each.
     """
     fracs = set()
     for f in mf.filtrations:
@@ -170,32 +172,25 @@ def rees_of(mf: MultiFiltration) -> ReesModule:
             ks = [0]
         box.append((min(ks) - 1, max(ks) + 1))
 
-    spaces: Dict[Point, Subspace] = {}
-    dims: Dict[Point, int] = {}
-    pts = list(product(*(range(lo, hi + 1) for lo, hi in box)))
-    for p in pts:
-        values = [f.value_at(lat.phi(k)) for f, k in zip(mf.filtrations, p)]
-        s = intersection_of(values, mf.ambient_dim)
-        spaces[p] = s
-        dims[p] = s.dim
+    spaces: Dict[Point, Subspace] = {(): Subspace.full(mf.ambient_dim)}
+    for f, (lo, hi) in zip(mf.filtrations, box):
+        values = [(k, f.value_at(lat.phi(k))) for k in range(lo, hi + 1)]
+        spaces = {q + (k,): s.intersect(v) for q, s in spaces.items() for k, v in values}
 
+    # ReesModule fills in the zero maps out of zero pieces
     maps: Dict[Tuple[Point, int], Matrix] = {}
-    for p in pts:
-        tgt = spaces[p]
+    for p, tgt in spaces.items():
         for i in range(len(mf)):
-            q = p[:i] + (p[i] - 1,) + p[i + 1 :]
-            src = spaces.get(q)
-            if src is None or src.dim == 0 or tgt.dim == 0:
-                maps[(p, i)] = Matrix.zero(tgt.dim, src.dim if src is not None else 0)
-                continue
-            cols = [tgt.rref_coordinates(b) for b in src.basis]
-            maps[(p, i)] = Matrix.from_columns(cols, tgt.dim)
+            src = spaces.get(ReesModule._shift(p, i, -1))
+            if src is not None and src.dim:
+                cols = [tgt.rref_coordinates(b) for b in src.basis]
+                maps[(p, i)] = Matrix.from_columns(cols, tgt.dim)
 
     # No square check: each stored map is tgt.rref_coordinates(b) for b in
     # src.basis, with src <= tgt because values of validated increasing
     # filtrations nest, so both paths around a square are the coordinate
     # matrix of one inclusion.
-    return ReesModule(len(mf), box, dims, maps, validate=False, lattice=lat)
+    return ReesModule(len(mf), box, {p: s.dim for p, s in spaces.items()}, maps, validate=False, lattice=lat)
 
 
 class KoszulComplexData:
@@ -288,45 +283,43 @@ def koszul_homology(rees: ReesModule, seq: Sequence[int], multidegree: Point) ->
 # -- regularity ------------------------------------------------------------
 
 
-def _quotient_presentations(rees: ReesModule, varset: FrozenSet[int]) -> Dict[Point, QuotientPresentation]:
-    """Per-point presentations of the quotient by the images of ``varset``."""
-    key = ("quot", varset)
-    cached = rees._cache.get(key)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    out: Dict[Point, QuotientPresentation] = {}
-    for p in rees.interesting_points():
-        d = rees.piece_dim(p)
-        full = Subspace.full(d)
-        images = []
-        for j in varset:
-            m = rees.map_matrix(p, j)
-            images.append(Subspace(d, [m.column(c) for c in range(m.cols)]))
-        w = sum_of(images, d) if images else Subspace.zero(d)
-        out[p] = QuotientPresentation(full, w)
-    rees._cache[key] = out
-    return out
+def _image_sums(rees: ReesModule, varset: FrozenSet[int]) -> Dict[Point, Subspace]:
+    """Per point, the sum ``W_p`` of the images of the variables in ``varset``."""
+    key = ("images", varset)
+    if key not in rees._cache:
+        rees._cache[key] = {
+            p: sum_of([image_of(rees.map_matrix(p, j)) for j in varset], rees.piece_dim(p))
+            for p in rees.interesting_points()
+        }
+    return rees._cache[key]  # type: ignore[return-value]
 
 
 def _step_injective(rees: ReesModule, varset: FrozenSet[int], nxt: int) -> bool:
-    """Is the next variable injective on the quotient by ``varset``?"""
+    """Is the next variable injective on the quotient by ``varset``?
+
+    With x the next variable, e its unit vector and ``W`` the image sums,
+    ``x(W_{p-e}) <= W_p`` because x commutes with each ``x_j`` in ``varset``.
+    So x is injective at ``p - e`` iff
+    ``dim(x(M_{p-e}) + W_p) - dim W_p == dim M_{p-e} - dim W_{p-e}``.
+    """
     key = ("inj", varset, nxt)
     cached = rees._cache.get(key)
     if cached is not None:
         return cached  # type: ignore[return-value]
-    quots = _quotient_presentations(rees, varset)
+    sums = _image_sums(rees, varset)
     verdict = True
-    for p, tgt_q in quots.items():
+    for p, w in sums.items():
         src_p = rees._shift(p, nxt, -1)
-        src_q = quots.get(src_p)
-        if src_q is None:
+        src_w = sums.get(src_p)
+        if src_w is None:
             # only happens below the box, where the source piece is zero
             assert rees.piece_dim(src_p) == 0
             continue
-        if src_q.dim == 0:
+        src_dim = rees.piece_dim(src_p) - src_w.dim
+        if src_dim == 0:
             continue
-        induced = src_q.induced_matrix(rees.map_matrix(p, nxt), tgt_q)
-        if induced.rank() != src_q.dim:
+        rank = image_of(rees.map_matrix(p, nxt)).sum(w).dim - w.dim
+        if rank != src_dim:
             verdict = False
             break
     rees._cache[key] = verdict

@@ -2,18 +2,21 @@
 
 `Subspace.zero`, `Subspace.full` and the Zassenhaus sum and intersection
 store their rows as the canonical basis without reducing them again,
-`rees_of` skips the commuting-square check and takes its top slices as
-saturated, the subquotient row test compares dimensions only (the
-induced-matrix reference is in test_filtration.py), `KoszulComplexData`
-does not multiply its differentials, and graded bilinear structures and
-monodromic modules keep the nilpotent operators they certify instead of
-rebuilding them.  Each test here recomputes what is no longer checked at
-run time.
+`rees_of` skips the commuting-square check, takes its top slices as
+saturated and builds each piece from the one before it on its axis, the
+subquotient row test, the Rees injectivity step and weight axiom two
+compare dimensions only (the induced-matrix references are in
+test_filtration.py, test_rees.py and test_monodromy.py),
+`KoszulComplexData` does not multiply its differentials, and graded
+bilinear structures and monodromic modules keep the nilpotent operators
+they certify instead of rebuilding them.  Each test here recomputes what
+is no longer checked at run time.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,9 +26,14 @@ from weightfilt.exact import Matrix, QuotientPresentation, Subspace, _sum_and_in
 from weightfilt.filtration import Filtration, MultiFiltration, _subobject_compatibility_cached
 from weightfilt.fixtures import fixture_Vk, fixture_tensor_jordan
 from weightfilt.lefschetz import merge_slots
-from weightfilt.monodromy import NilpotentOperator
+from weightfilt.monodromy import (
+    NilpotentOperator,
+    WeightAxiomFailure,
+    monodromy_filtration,
+    verify_weight_axioms,
+)
 from weightfilt.nearby import MonodromicModule
-from weightfilt.rees import KoszulComplexData, ReesModule, rees_of
+from weightfilt.rees import KoszulComplexData, ReesModule, is_flat, rees_of
 
 from strategies import multifiltrations, nilpotent_matrices, random_filtration, subspaces
 
@@ -108,6 +116,44 @@ def test_subobject_rows_build_no_presentations_or_matrices(monkeypatch):
     monkeypatch.setattr(QuotientPresentation, "__init__", refuse)
     monkeypatch.setattr(Matrix, "__init__", refuse)
     assert not _subobject_compatibility_cached.__wrapped__(lines, 2).compatible
+
+
+def _refuse_presentations(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("built a QuotientPresentation")
+
+    monkeypatch.setattr(QuotientPresentation, "__init__", refuse)
+
+
+def test_regularity_routes_build_no_presentations(monkeypatch):
+    rees = rees_of(_seeded_mf())
+    _refuse_presentations(monkeypatch)
+    is_flat(rees)
+
+
+def test_weight_axioms_build_no_presentations(monkeypatch):
+    j3 = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    w = monodromy_filtration(j3)
+    _refuse_presentations(monkeypatch)
+    verify_weight_axioms(w, j3)
+    # the zero map passes axiom one and fails axiom two by rank at l = 2
+    with pytest.raises(WeightAxiomFailure, match="does not induce an isomorphism"):
+        verify_weight_axioms(w, Matrix.zero(3, 3))
+
+
+def test_rees_of_intersects_once_per_prefix_point(monkeypatch):
+    mf = _seeded_mf()
+    calls = []
+    intersect = Subspace.intersect
+
+    def counting(self, other):
+        calls.append(1)
+        return intersect(self, other)
+
+    monkeypatch.setattr(Subspace, "intersect", counting)
+    rees = rees_of(mf)
+    sizes = [hi - lo + 1 for lo, hi in rees.box]
+    assert len(calls) == sum(prod(sizes[: k + 1]) for k in range(len(sizes)))
 
 
 def test_koszul_complex_multiplies_no_differentials(monkeypatch):

@@ -59,6 +59,37 @@ class TestExitCodes:
         assert res.exit_code == 2
         assert "input error" in res.stderr
 
+    def test_repeated_koszul_variable_is_two(self, runner, tmp_path):
+        doc = json.loads((GOLDEN / "doc_koszul.json").read_text())
+        doc["payload"]["sequence"] = [0, 0]
+        p = tmp_path / "repeat.json"
+        p.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["koszul", "--input", str(p)])
+        assert res.exit_code == 2
+        assert "input error: $.payload.sequence: variable sequence must not repeat" in res.stderr
+
+    def test_grading_not_of_weight_type_is_two(self, runner, tmp_path):
+        # the zero operator's weight grading is all in degree 0, so no sl2
+        # triple completes it on the degrees -1 and 1
+        doc = {
+            "format": "weightfilt.v1",
+            "task": "check-lefschetz",
+            "payload": {
+                "ambient_dim": 2,
+                "components": [
+                    {"degree": [-1], "basis": [["1", "0"]]},
+                    {"degree": [1], "basis": [["0", "1"]]},
+                ],
+                "operators": [[["0", "0"], ["0", "0"]]],
+                "pairing": [["0", "1"], ["-1", "0"]],
+            },
+        }
+        p = tmp_path / "not_weight.json"
+        p.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["check", "lefschetz", "--input", str(p)])
+        assert res.exit_code == 2
+        assert "input error: $.payload: no sl2 completion" in res.stderr
+
 
 class TestStdin:
     def test_dash_reads_stdin(self, runner):

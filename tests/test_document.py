@@ -1,10 +1,11 @@
 """JSON task documents: scalar grammar, round trips, task dispatch."""
 
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightfilt.document import (
@@ -262,3 +263,98 @@ class TestEmitReport:
         rep = run_task(_monodromy_doc([["0", "1"], ["0", "0"]]))
         with pytest.raises(ValueError):
             emit_report(rep, "yaml")
+
+
+KOSZUL_PAYLOAD = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "doc_koszul.json").read_text()
+)["payload"]
+
+_small_int_lists = st.lists(st.integers(min_value=-3, max_value=3), max_size=4)
+
+# the zero map, e1 -> e2 and e2 -> e1 on the plane
+_PLANE_OPERATORS = (
+    [["0", "0"], ["0", "0"]],
+    [["0", "0"], ["1", "0"]],
+    [["0", "1"], ["0", "0"]],
+)
+_PLANE_PAIRINGS = (
+    [["0", "1"], ["-1", "0"]],
+    [["0", "1"], ["1", "0"]],
+    [["1", "0"], ["0", "1"]],
+)
+
+
+def _plane_payload(degrees, operators, pairing):
+    return {
+        "ambient_dim": 2,
+        "components": [
+            {"degree": degrees[0], "basis": [["1", "0"]]},
+            {"degree": degrees[1], "basis": [["0", "1"]]},
+        ],
+        "operators": operators,
+        "pairing": pairing,
+    }
+
+
+@st.composite
+def _plane_lefschetz_payloads(draw):
+    """Graded planes whose degrees are arbitrary small int lists.
+
+    Half of the draws keep both degrees and the operator list at one
+    length, so that some of them get past the shape checks.
+    """
+    ops = st.sampled_from(_PLANE_OPERATORS)
+    if draw(st.booleans()):
+        first, second = draw(_small_int_lists), draw(_small_int_lists)
+        operators = draw(st.lists(ops, max_size=3))
+    else:
+        size = draw(st.integers(min_value=1, max_value=2))
+        same = st.lists(st.integers(min_value=-2, max_value=2), min_size=size, max_size=size)
+        first, second = draw(same), draw(same)
+        operators = draw(st.lists(ops, min_size=size, max_size=size))
+    return _plane_payload((first, second), operators, draw(st.sampled_from(_PLANE_PAIRINGS)))
+
+
+def _report_or_input_error(task, payload):
+    """Run a document through `parse` and `run_task`; None on a DocumentError.
+
+    Any other exception escapes and fails the calling test.
+    """
+    text = json.dumps({"format": FORMAT_TAG, "task": task, "payload": payload})
+    try:
+        report = run_task(parse(text))
+    except DocumentError:
+        return None
+    assert report["task"] == task
+    assert isinstance(report["verdict"], bool)
+    return report
+
+
+class TestDocumentFuzz:
+    """Arbitrary small integer lists give a report or a DocumentError."""
+
+    @given(sequence=_small_int_lists, multidegree=_small_int_lists)
+    @example(sequence=[0, 0], multidegree=[1, 1])
+    @example(sequence=[0, 1], multidegree=[1, 1])
+    @settings(max_examples=150, deadline=None)
+    def test_koszul_lists(self, sequence, multidegree):
+        payload = dict(KOSZUL_PAYLOAD, sequence=sequence, multidegree=multidegree)
+        report = _report_or_input_error("koszul-homology", payload)
+        valid = (
+            len(multidegree) == 2
+            and all(0 <= v < 2 for v in sequence)
+            and len(set(sequence)) == len(sequence)
+        )
+        assert (report is not None) == valid
+
+    @given(payload=_plane_lefschetz_payloads())
+    # degrees -1 and 1 are not the zero operator's weight grading
+    @example(payload=_plane_payload(([-1], [1]), [_PLANE_OPERATORS[0]], _PLANE_PAIRINGS[0]))
+    @settings(max_examples=150, deadline=None)
+    def test_lefschetz_degrees(self, payload):
+        _report_or_input_error("check-lefschetz", payload)
+
+    def test_polarized_plane_reports(self):
+        # N e1 = e2 lowers degree 1 to -1 and is isotropic for the pairing
+        payload = _plane_payload(([1], [-1]), [_PLANE_OPERATORS[1]], _PLANE_PAIRINGS[0])
+        assert _report_or_input_error("check-lefschetz", payload)["verdict"] is True

@@ -10,7 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weightfilt.exact import Matrix, Subspace, image_of
 from weightfilt.filtration import Filtration
@@ -137,6 +138,69 @@ class TestMonodromyFiltration:
         )
         with pytest.raises(WeightAxiomFailure):
             verify_weight_axioms(bad, JORDAN_2)
+
+
+def _reference_weight_axioms(w, n):
+    """`verify_weight_axioms` with the induced-matrix axiom two it replaced:
+    present both graded pieces with coset representatives and rank the
+    matrix that the power of N induces between them."""
+    op = NilpotentOperator(n)
+    c = w.center
+    for k in w.jumps():
+        if not w.value_at(k - 2).contains(w.value_at(k).image_under(op.matrix)):
+            raise WeightAxiomFailure(f"operator does not lower the filtration by two at {k}")
+    if not w.steps:
+        return
+    span = max(abs(w.steps[-1][0] - c), abs(w.steps[0][0] - c))
+    for ell in range(1, span + 1):
+        hi = w.graded_at(c + ell)
+        lo = w.graded_at(c - ell)
+        if hi.dim != lo.dim:
+            raise WeightAxiomFailure(
+                f"graded dimensions at {c + ell} and {c - ell} differ ({hi.dim} vs {lo.dim})"
+            )
+        if hi.dim == 0:
+            continue
+        if hi.induced_matrix(op.power(ell), lo).rank() != hi.dim:
+            raise WeightAxiomFailure(
+                f"power {ell} does not induce an isomorphism between pieces {c + ell} and {c - ell}"
+            )
+
+
+def _axiom_outcome(check, w, n):
+    try:
+        check(w, n)
+    except WeightAxiomFailure as exc:
+        return str(exc)
+    return None
+
+
+class TestWeightAxiomsByDimension:
+    """Axiom two decided by dimension against the induced-matrix reference.
+
+    The candidates are weight filtrations, re-centered ones (which pass
+    axiom one but not axiom two), and weight filtrations of N checked
+    against N^2 or the zero map, which also pass axiom one and mostly fail
+    axiom two by rank rather than by dimension.
+    """
+
+    @given(
+        m=nilpotent_matrices(max_dim=5),
+        center=st.integers(min_value=-2, max_value=2),
+        recenter=st.sampled_from((-1, 0, 1)),
+        against=st.sampled_from(("n", "n^2", "zero")),
+    )
+    @example(m=JORDAN_2, center=0, recenter=0, against="zero")
+    @example(m=JORDAN_2, center=0, recenter=1, against="n")
+    @settings(max_examples=120, deadline=None)
+    def test_same_verdict_and_message_as_reference(self, m, center, recenter, against):
+        w = monodromy_filtration(m, center=center)
+        w = Filtration(w.ambient_dim, w.steps, center=w.center + recenter)
+        n = {"n": m, "n^2": m * m, "zero": Matrix.zero(m.rows, m.cols)}[against]
+        got = _axiom_outcome(verify_weight_axioms, w, n)
+        assert got == _axiom_outcome(_reference_weight_axioms, w, n)
+        if recenter == 0 and against == "n":
+            assert got is None
 
 
 class TestRelativeMonodromy:

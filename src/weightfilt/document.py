@@ -475,6 +475,8 @@ def run_task(doc: Document) -> Dict[str, object]:
         order = _expect_int(p.get("order", 0), f"{path}.order")
         if q < 1:
             raise DocumentError(f"{path}.denominator", "denominator must be positive")
+        if order < 0:
+            raise DocumentError(f"{path}.order", "truncation order must be nonnegative")
         factors = fixture_nilsson(q, order)
         relation_holds = all(
             f.eigenvalue == -(1 - (-f.shift)) for f in factors

@@ -10,12 +10,21 @@ decided by exact pivoting rather than eigenvalues.
 
 Vectors are plain tuples of scalars.  Operators act on column vectors, i.e.
 ``M.apply(v)`` computes ``M @ v``; bilinear forms pair as ``x^T K y``.
+
+Rational data is handled as Python ints wherever that is cheaper:
+`rref` and `rank_of_rows` run one fraction-free integer elimination, and
+`Matrix` products, ``apply``, sums and rational scalar multiples run on
+each matrix's sparse integer form (its entries times the lcm of their
+denominators), multiplying only nonzero entries.  Results are returned as
+`Fraction`s, never as ints.  Data holding a `GaussianRational` takes a
+generic loop over the scalars instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial, gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -28,8 +37,8 @@ class Immutable:
     Subclasses declare their own ``__slots__`` and fill them with
     ``object.__setattr__``; afterwards assigning or deleting an attribute
     raises, which keeps cached hashes valid.  (A private constructor may
-    fill the slots instead of ``__init__``, and a ``_hash`` slot may be
-    filled on the first ``__hash__`` call.)
+    fill the slots instead of ``__init__``, and private caches such as a
+    ``_hash`` slot may be filled on first use.)
     """
 
     __slots__ = ()
@@ -184,6 +193,8 @@ def _as_vector(v: Iterable[ScalarLike]) -> Vector:
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> Optional[List[List[int]]]:
@@ -339,8 +350,69 @@ def solve_columns(
     return tuple(coeffs)
 
 
+_IntForm = Tuple[int, Tuple[Tuple[Tuple[int, int], ...], ...]]
+
+
+def _int_form(grid: Sequence[Sequence[Scalar]]) -> Optional[_IntForm]:
+    """``(scale, rows)`` such that ``grid[i][j] == a / scale`` for each pair
+    ``(j, a)`` of ``rows[i]``, which lists the nonzero entries of row ``i``
+    as ints; ``scale`` is the lcm of all denominators.  None if an entry is
+    a `GaussianRational`."""
+    nonzero = []
+    try:
+        for row in grid:
+            nums = [x.numerator for x in row]
+            nonzero.append([(j, a, row[j].denominator) for j, a in enumerate(nums) if a])
+    except AttributeError:
+        return None
+    scale = lcm(*[d for row in nonzero for _, _, d in row])
+    return scale, tuple(tuple((j, a * (scale // d)) for j, a, d in row) for row in nonzero)
+
+
+def _sparse_product(a: _IntForm, b: _IntForm, cols: int) -> Tuple[int, List[List[int]]]:
+    """The integer rows and scale of the product of two integer forms; only
+    pairs of nonzero entries are multiplied."""
+    b_rows = b[1]
+    out = []
+    for a_row in a[1]:
+        acc = [0] * cols
+        for k, x in a_row:
+            for j, y in b_rows[k]:
+                acc[j] += x * y
+        out.append(acc)
+    return a[0] * b[0], out
+
+
+def _sparse_sum(a: _IntForm, b: _IntForm, sign: int, cols: int) -> Tuple[int, List[List[int]]]:
+    """The integer rows and scale of ``a + sign * b`` for two integer forms."""
+    scale = lcm(a[0], b[0])
+    fa, fb = scale // a[0], sign * (scale // b[0])
+    out = []
+    for a_row, b_row in zip(a[1], b[1]):
+        acc = [0] * cols
+        for j, x in a_row:
+            acc[j] = x * fa
+        for j, y in b_row:
+            acc[j] += y * fb
+        out.append(acc)
+    return scale, out
+
+
 class Matrix(Immutable):
     """An immutable exact matrix.
+
+    ``entries`` is a tuple of row tuples of `Fraction` or `GaussianRational`
+    scalars.  Products, ``apply``, sums, negation and rational scalar
+    multiples of rational matrices run on an integer form: the entries
+    scaled to ints by the lcm of their denominators, with each row kept as
+    its nonzero ``(column, int)`` pairs.  It is computed once per matrix,
+    on first use, and a result built from ints keeps its own, so a chain of
+    products never re-derives it.  Only pairs of nonzero entries are
+    multiplied, and the result gets one `Fraction` per nonzero entry and
+    the shared zero elsewhere.  A matrix holding a `GaussianRational` takes
+    the generic loop over its scalars.  Results of arithmetic are built by
+    `_trusted`, which skips the coercion of each entry that ``__init__``
+    does.
 
     >>> m = Matrix.from_rows([[0, 1], [0, 0]])
     >>> m.apply((1, 2))
@@ -351,7 +423,7 @@ class Matrix(Immutable):
     1
     """
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    __slots__ = ("rows", "cols", "entries", "_hash", "_ints")
 
     def __init__(self, entries: Sequence[Sequence[ScalarLike]], rows: Optional[int] = None, cols: Optional[int] = None) -> None:
         grid = tuple(tuple(as_scalar(x) for x in row) for row in entries)
@@ -366,8 +438,45 @@ class Matrix(Immutable):
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_ints", None)
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, grid: Tuple[Vector, ...], rows: int, cols: int, ints: Optional[_IntForm] = None) -> "Matrix":
+        """A matrix from a grid the caller guarantees is canonical.
+
+        ``grid`` must be a tuple of ``rows`` tuples of ``cols`` exact scalars
+        (`Fraction` or `GaussianRational`, never `int`), which is what
+        ``__init__`` would build, so its coercion and shape checks are
+        skipped.  ``ints`` is the grid's `_int_form` if the caller has it.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", grid)
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_ints", ints)
+        return self
+
+    @classmethod
+    def _from_ints(cls, scale: int, dense: List[List[int]], cols: int) -> "Matrix":
+        """The rational matrix with entries ``dense[i][j] / scale``."""
+        g = gcd(scale, *chain.from_iterable(dense))
+        scale //= g
+        grid, sparse = [], []
+        for row in dense:
+            nonzero = [(j, a // g) for j, a in enumerate(row) if a]
+            out = [_ZERO] * cols
+            if scale == 1:
+                for j, a in nonzero:
+                    out[j] = Fraction(a)
+            else:
+                for j, a in nonzero:
+                    out[j] = Fraction(a, scale)
+            grid.append(tuple(out))
+            sparse.append(tuple(nonzero))
+        return cls._trusted(tuple(grid), len(dense), cols, (scale, tuple(sparse)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[ScalarLike]]) -> "Matrix":
@@ -375,16 +484,12 @@ class Matrix(Immutable):
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        z = Fraction(0)
-        return cls([[z] * cols for _ in range(rows)], rows, cols)
+        return cls._trusted(((_ZERO,) * cols,) * rows, rows, cols, (1, ((),) * rows))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)],
-            n,
-            n,
-        )
+        grid = tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
+        return cls._trusted(grid, n, n, (1, tuple(((i, 1),) for i in range(n))))
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[ScalarLike]], nrows: int) -> "Matrix":
@@ -398,6 +503,13 @@ class Matrix(Immutable):
 
     # -- structure -------------------------------------------------------
 
+    def _integer_form(self) -> Optional[_IntForm]:
+        """The `_int_form` of the entries, computed on first use; None for
+        a matrix with a `GaussianRational` entry."""
+        if self._ints is None:
+            object.__setattr__(self, "_ints", _int_form(self.entries) or False)
+        return self._ints or None
+
     def row(self, i: int) -> Vector:
         return self.entries[i]
 
@@ -405,13 +517,11 @@ class Matrix(Immutable):
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.cols,
-            self.rows,
-        )
+        return Matrix._trusted(tuple(zip(*self.entries)) if self.rows else ((),) * self.cols, self.cols, self.rows)
 
     def is_zero(self) -> bool:
+        if self._ints:
+            return not any(self._ints[1])
         return all(not x for row in self.entries for x in row)
 
     def is_square(self) -> bool:
@@ -423,49 +533,67 @@ class Matrix(Immutable):
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, -1)
+
+    def _plus(self, other: object, sign: int) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shape mismatch in addition")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
+        a = self._integer_form()
+        b = other._integer_form() if a is not None else None
+        if b is not None:
+            return Matrix._from_ints(*_sparse_sum(a, b, sign, self.cols), self.cols)
+        if sign < 0:
+            other = -other
+        return Matrix._trusted(
+            tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
             self.rows,
             self.cols,
         )
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self + (-other)
-
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in row] for row in self.entries], self.rows, self.cols)
+        return self._scaled(_MINUS_ONE)
 
     def __mul__(self, other: object) -> "Matrix":
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("matrix shape mismatch in product")
+            a = self._integer_form()
+            b = other._integer_form() if a is not None else None
+            if b is not None:
+                return Matrix._from_ints(*_sparse_product(a, b, other.cols), other.cols)
             bt = other.transpose().entries
-            return Matrix(
-                [
-                    [
-                        sum((a * b for a, b in zip(row, col) if a and b), Fraction(0))
-                        for col in bt
-                    ]
+            return Matrix._trusted(
+                tuple(
+                    tuple(sum((x * y for x, y in zip(row, col) if x and y), _ZERO) for col in bt)
                     for row in self.entries
-                ],
+                ),
                 self.rows,
                 other.cols,
             )
         if isinstance(other, (int, Fraction, GaussianRational)):
-            s = as_scalar(other)
-            return Matrix(
-                [[x * s for x in row] for row in self.entries], self.rows, self.cols
-            )
+            return self._scaled(as_scalar(other))
         return NotImplemented
+
+    def _scaled(self, s: Scalar) -> "Matrix":
+        """``s`` times this matrix, on the integer form when both are rational."""
+        form =self._integer_form() if isinstance(s, Fraction) else None
+        if form is None:
+            return Matrix._trusted(
+                tuple(tuple(x * s for x in row) for row in self.entries), self.rows, self.cols
+            )
+        p, cols = s.numerator, self.cols
+        dense = []
+        for srow in form[1]:
+            acc = [0] * cols
+            for j, a in srow:
+                acc[j] = a * p
+            dense.append(acc)
+        return Matrix._from_ints(form[0] * s.denominator, dense, cols)
 
     def __rmul__(self, other: object) -> "Matrix":
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -490,10 +618,27 @@ class Matrix(Immutable):
         vec = _as_vector(v)
         if len(vec) != self.cols:
             raise ValueError("vector length does not match matrix columns")
-        return tuple(
-            sum((a * b for a, b in zip(row, vec) if a and b), Fraction(0))
-            for row in self.entries
-        )
+        form = self._integer_form()
+        if form is not None:
+            try:
+                dens = [x.denominator for x in vec]
+            except AttributeError:
+                form = None
+        if form is None:
+            return tuple(
+                sum((a * b for a, b in zip(row, vec) if a and b), _ZERO)
+                for row in self.entries
+            )
+        vs = lcm(*dens)
+        ints = [x.numerator * (vs // d) for x, d in zip(vec, dens)]
+        scale = form[0] * vs
+        out = []
+        for srow in form[1]:
+            t = 0
+            for j, a in srow:
+                t += a * ints[j]
+            out.append(_ZERO if not t else Fraction(t) if scale == 1 else Fraction(t, scale))
+        return tuple(out)
 
     def commutes_with(self, other: "Matrix") -> bool:
         return self * other == other * self
@@ -502,12 +647,12 @@ class Matrix(Immutable):
         if not self.is_square():
             raise ValueError("only square matrices are invertible")
         n = self.rows
-        aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+        aug = [list(row) + [_ONE if i == j else _ZERO for j in range(n)]
                for i, row in enumerate(self.entries)]
         reduced, pivots = rref(aug)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in reduced], n, n)
+        return Matrix._trusted(tuple(tuple(row[n:]) for row in reduced), n, n)
 
     # -- identity --------------------------------------------------------
 
@@ -702,7 +847,7 @@ class Subspace(Immutable):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 10)
 def _sum_and_intersection(u: Subspace, w: Subspace) -> Tuple[Subspace, Subspace]:
     """Zassenhaus: one elimination yields both the sum and the intersection."""
     if u.ambient_dim != w.ambient_dim:

@@ -170,18 +170,15 @@ class GradedBilinearStructure(Immutable):
         if pairing.rank() != n:
             raise ValueError("pairing is degenerate")
         degs = space.multidegrees()
+        # K·v once per basis vector, then u·(K·v) for each pair to test
+        paired = {k: [pairing.apply(v) for v in space.components[k].basis] for k in degs}
         for ka in degs:
             for kb in degs:
                 if tuple(a + b for a, b in zip(ka, kb)) == tuple(2 * x for x in c):
                     continue
-                a_comp = space.components[ka]
-                b_comp = space.components[kb]
-                for u in a_comp.basis:
-                    for v in b_comp.basis:
-                        val = sum(
-                            (x * y for x, y in zip(u, pairing.apply(v)) if x and y),
-                            Fraction(0),
-                        )
+                for u in space.components[ka].basis:
+                    for kv in paired[kb]:
+                        val = sum((x * y for x, y in zip(u, kv) if x and y), Fraction(0))
                         if val:
                             raise ValueError(
                                 f"pairing does not respect the grading: {ka} meets {kb}"

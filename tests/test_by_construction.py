@@ -7,9 +7,11 @@ saturated and builds each piece from the one before it on its axis, the
 subquotient row test, the Rees injectivity step and weight axiom two
 compare dimensions only (the induced-matrix references are in
 test_filtration.py, test_rees.py and test_monodromy.py),
-`KoszulComplexData` does not multiply its differentials, and graded
+`KoszulComplexData` does not multiply its differentials, graded
 bilinear structures and monodromic modules keep the nilpotent operators
-they certify instead of rebuilding them.  Each test here recomputes what
+they certify instead of rebuilding them, and `Matrix` arithmetic builds
+its results from entries that are already exact scalars without coercing
+them again.  Each test here recomputes what
 is no longer checked at run time.
 """
 
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weightfilt import exact
 from weightfilt.exact import Matrix, QuotientPresentation, Subspace, _sum_and_intersection
 from weightfilt.filtration import Filtration, MultiFiltration, _subobject_compatibility_cached
 from weightfilt.fixtures import fixture_Vk, fixture_tensor_jordan
@@ -165,6 +168,29 @@ def test_koszul_complex_multiplies_no_differentials(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__mul__", refuse)
     KoszulComplexData(rees, tuple(range(rees.nvars)), top)
+
+
+def test_rational_arithmetic_coerces_no_entries(monkeypatch):
+    a = Matrix.from_rows([[1, Fraction(1, 2), 0], [0, 0, 3], [Fraction(-2, 3), 0, 1]])
+    b = Matrix.from_rows([[2, 0, 1], [0, Fraction(-1, 3), 0], [1, 1, 0]])
+    coerced = []
+    as_scalar = exact.as_scalar
+
+    def counting(x):
+        coerced.append(x)
+        return as_scalar(x)
+
+    def refuse(self, *args):
+        raise AssertionError("built a Matrix through __init__")
+
+    monkeypatch.setattr(exact, "as_scalar", counting)
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    for result in (a * b, a + b, a - b, -a, a**3, a.transpose(), Matrix.identity(3), Matrix.zero(2, 3)):
+        assert all(type(x) is Fraction for row in result.entries for x in row)
+    assert not coerced
+    # a scalar multiple coerces the scalar, once
+    a * 2
+    assert coerced == [2]
 
 
 def _assert_nilpotents_match(structure):

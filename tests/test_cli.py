@@ -152,6 +152,11 @@ class TestOtherCommands:
         res = runner.invoke(main, ["nilsson", "demo", "-q", "0"])
         assert res.exit_code == 2
 
+    def test_nilsson_demo_negative_order_is_two(self, runner):
+        res = runner.invoke(main, ["nilsson", "demo", "-q", "3", "--order", "-1"])
+        assert res.exit_code == 2
+        assert "$.payload.order" in res.stderr
+
     def test_selfcheck_passes(self, runner):
         res = runner.invoke(main, ["selfcheck", "--seed", "3", "--max-dim", "4", "--rounds", "8"])
         assert res.exit_code == 0

@@ -358,3 +358,14 @@ class TestDocumentFuzz:
         # N e1 = e2 lowers degree 1 to -1 and is isotropic for the pairing
         payload = _plane_payload(([1], [-1]), [_PLANE_OPERATORS[1]], _PLANE_PAIRINGS[0])
         assert _report_or_input_error("check-lefschetz", payload)["verdict"] is True
+
+    @given(
+        denominator=st.integers(min_value=-3, max_value=6),
+        order=st.integers(min_value=-3, max_value=3),
+    )
+    @example(denominator=3, order=-1)
+    @settings(max_examples=60, deadline=None)
+    def test_nilsson_demo_ints(self, denominator, order):
+        payload = {"denominator": denominator, "order": order}
+        report = _report_or_input_error("nilsson-demo", payload)
+        assert (report is not None) == (denominator >= 1 and order >= 0)

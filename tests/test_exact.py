@@ -1,6 +1,7 @@
 """Exact arithmetic and subspace-lattice foundations."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from weightfilt.exact import (
     Matrix,
     QuotientPresentation,
     Subspace,
+    _int_form,
     exp_nilpotent,
     image_of,
     is_positive_definite,
@@ -216,6 +218,177 @@ class TestIntegerKernel:
         assert (reduced, pivots) == expected
         assert all(isinstance(x, (Fraction, GaussianRational)) for row in reduced for x in row)
         assert rank_of_rows(rows) == len(expected[0])
+
+
+def _exact(x):
+    return x if isinstance(x, GaussianRational) else Fraction(x)
+
+
+def _reference_mul(a, b):
+    """The Fraction product `Matrix.__mul__` computed for every matrix
+    before its integer kernel: one scalar operation per cell."""
+    bt = [[b.entries[i][j] for i in range(b.rows)] for j in range(b.cols)]
+    return Matrix(
+        [[sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in bt] for row in a.entries],
+        a.rows,
+        b.cols,
+    )
+
+
+def _reference_apply(m, v):
+    vec = tuple(_exact(x) for x in v)
+    return tuple(sum((a * b for a, b in zip(row, vec) if a and b), Fraction(0)) for row in m.entries)
+
+
+def _reference_add(a, b):
+    return Matrix([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.entries, b.entries)], a.rows, a.cols)
+
+
+def _reference_scale(a, s):
+    s = _exact(s)
+    return Matrix([[x * s for x in row] for row in a.entries], a.rows, a.cols)
+
+
+def _reference_pow(a, n):
+    out = Matrix([[Fraction(int(i == j)) for j in range(a.rows)] for i in range(a.rows)], a.rows, a.rows)
+    for _ in range(n):
+        out = _reference_mul(out, a)
+    return out
+
+
+def _reference_exp(m):
+    out = power = _reference_pow(m, 0)
+    for k in range(1, m.rows + 1):
+        power = _reference_mul(power, m)
+        if not any(x for row in power.entries for x in row):
+            break
+        out = _reference_add(out, _reference_scale(power, Fraction(1, factorial(k))))
+    return out
+
+
+def _assert_same(got, want):
+    """Equal to the reference with the same scalar type in every cell, and
+    indistinguishable from the same grid built by ``Matrix.__init__``."""
+    assert got == want
+    assert [[type(x) for x in row] for row in got.entries] == [[type(x) for x in row] for row in want.entries]
+    assert type(got.entries) is tuple and all(type(row) is tuple for row in got.entries)
+    assert all(type(x) in (Fraction, GaussianRational) for row in got.entries for x in row)
+    again = Matrix(got.entries, got.rows, got.cols)
+    assert got == again and hash(got) == hash(again)
+    if got._ints:
+        # a form kept from integer arithmetic is the one the entries give
+        assert got._ints == _int_form(got.entries)
+
+
+def _sparse(entries):
+    """Entries that are zero at least two times in three, so that the
+    matrices are sparse, as the operands of the polarization routes are."""
+    return st.one_of(st.just(0), st.just(0), entries)
+
+
+_ENTRY_KINDS = {
+    "integer": _sparse(st.integers(min_value=-6, max_value=6)),
+    "rational": _sparse(_rational_entries),
+    "gaussian": _sparse(st.one_of(_rational_entries, gaussian_scalars())),
+}
+_entry_kinds = st.sampled_from(sorted(_ENTRY_KINDS))
+
+
+@st.composite
+def _matrix_of(draw, rows, cols, kind=None):
+    entries = _ENTRY_KINDS[kind or draw(_entry_kinds)]
+    grid = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return Matrix(grid, rows, cols)
+
+
+_dims = st.integers(min_value=0, max_value=4)
+
+
+@st.composite
+def _composable(draw):
+    """Two composable matrices, each with its own entry kind, so rational
+    and Gaussian operands meet; 0-row and 0-column shapes included."""
+    r, k, c = draw(_dims), draw(_dims), draw(_dims)
+    return draw(_matrix_of(r, k)), draw(_matrix_of(k, c))
+
+
+@st.composite
+def _nilpotents(draw):
+    """Strictly lower triangular matrices of any entry kind, conjugated by
+    a shear so that they are not triangular."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    lower = draw(_matrix_of(n, n))
+    m = Matrix([[x if i > j else 0 for j, x in enumerate(row)] for i, row in enumerate(lower.entries)], n, n)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if i == j:
+        return m
+    shear = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
+    inverse = [list(row) for row in shear]
+    shear[i][j], inverse[i][j] = Fraction(2), Fraction(-2)
+    return _reference_mul(_reference_mul(Matrix(shear), m), Matrix(inverse))
+
+
+class TestIntegerArithmetic:
+    """The integer kernels against the Fraction loops they replaced."""
+
+    @given(_composable())
+    @example((Matrix.zero(0, 3), Matrix.zero(3, 2)))
+    @example((Matrix.zero(2, 0), Matrix.zero(0, 3)))
+    @example((Matrix([[I, 0]]), Matrix([[0], [Fraction(1, 2)]])))
+    @settings(max_examples=300, deadline=None)
+    def test_product_matches_reference(self, pair):
+        a, b = pair
+        _assert_same(a * b, _reference_mul(a, b))
+        # a product of products reuses the integer forms the first one kept
+        ab = a * b
+        _assert_same(ab * b.transpose(), _reference_mul(_reference_mul(a, b), b.transpose()))
+
+    @given(data=st.data(), m=_composable())
+    @settings(max_examples=200, deadline=None)
+    def test_apply_matches_reference(self, data, m):
+        m = m[0]
+        kind = _ENTRY_KINDS[data.draw(_entry_kinds)]
+        v = data.draw(st.lists(kind, min_size=m.cols, max_size=m.cols))
+        got, want = m.apply(v), _reference_apply(m, v)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+    @given(data=st.data(), r=_dims, c=_dims)
+    @settings(max_examples=200, deadline=None)
+    def test_sum_difference_and_negation_match_reference(self, data, r, c):
+        a, b = data.draw(_matrix_of(r, c)), data.draw(_matrix_of(r, c))
+        _assert_same(a + b, _reference_add(a, b))
+        _assert_same(a - b, _reference_add(a, _reference_scale(b, -1)))
+        _assert_same(-a, _reference_scale(a, -1))
+
+    @given(
+        m=_composable(),
+        s=st.one_of(st.integers(min_value=-6, max_value=6), _rational_entries, gaussian_scalars()),
+    )
+    @example(m=(Matrix([[Fraction(1, 2), 3]]), Matrix.zero(2, 0)), s=Fraction(2, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_multiples_match_reference(self, m, s):
+        m = m[0]
+        _assert_same(m * s, _reference_scale(m, s))
+        _assert_same(s * m, _reference_scale(m, s))
+
+    @given(data=st.data(), n=_dims, k=st.integers(min_value=0, max_value=4))
+    @settings(max_examples=100, deadline=None)
+    def test_powers_match_reference(self, data, n, k):
+        m = data.draw(_matrix_of(n, n))
+        _assert_same(m**k, _reference_pow(m, k))
+
+    @given(_nilpotents())
+    @example(Matrix([[0, 0, 2, 0], [0, 0, 0, 0], [I, 0, 0, -2 * I], [0, 0, 1, 0]]))
+    @settings(max_examples=100, deadline=None)
+    def test_exp_nilpotent_matches_reference(self, m):
+        _assert_same(exp_nilpotent(m), _reference_exp(m))
+
+    @given(n=_dims)
+    def test_identity_and_zero_are_canonical(self, n):
+        _assert_same(Matrix.identity(n), Matrix([[int(i == j) for j in range(n)] for i in range(n)], n, n))
+        _assert_same(Matrix.zero(n, 2), Matrix([[0, 0]] * n, n, 2))
+        _assert_same(Matrix.zero(2, n), Matrix([[0] * n] * 2, 2, n))
 
 
 class TestSubspace:

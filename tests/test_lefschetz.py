@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weightfilt.exact import GaussianRational, Matrix, Subspace
 from weightfilt.fixtures import fixture_Vk, fixture_tensor_jordan
@@ -69,6 +71,47 @@ class TestStructureValidation:
         fx = fixture_Vk(1)
         with pytest.raises(ValueError):
             GradedBilinearStructure(fx.graded_space(), [Matrix.identity(2)], fx.pairing)
+
+
+def _reference_grading_failure(space, pairing, center):
+    """The grading test `GradedBilinearStructure` ran before it applied the
+    pairing once per basis vector: one ``pairing.apply`` per pair tested."""
+    degs = space.multidegrees()
+    for ka in degs:
+        for kb in degs:
+            if tuple(a + b for a, b in zip(ka, kb)) == tuple(2 * x for x in center):
+                continue
+            for u in space.components[ka].basis:
+                for v in space.components[kb].basis:
+                    if sum((x * y for x, y in zip(u, pairing.apply(v)) if x and y), Fraction(0)):
+                        return f"pairing does not respect the grading: {ka} meets {kb}"
+    return None
+
+
+class TestPairingGrading:
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_first_failure_matches_reference(self, sizes, data):
+        fx = fixture_tensor_jordan(sizes)
+        space, pairing = fx.graded_space(), fx.pairing()
+        n = pairing.rows
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+        grid = [list(row) for row in pairing.entries]
+        for i, j, x in data.draw(st.lists(cells, max_size=3)):
+            grid[i][j] += x
+        perturbed = Matrix(grid)
+        if perturbed.rank() != n:
+            return
+        expected = _reference_grading_failure(space, perturbed, (0,) * space.nslots)
+        if expected is None:
+            GradedBilinearStructure(space, fx.operators(), perturbed)
+        else:
+            with pytest.raises(ValueError) as info:
+                GradedBilinearStructure(space, fx.operators(), perturbed)
+            assert str(info.value) == expected
 
 
 class TestSl2Completion:

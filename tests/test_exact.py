@@ -250,9 +250,16 @@ def _reference_scale(a, s):
 
 
 def _reference_pow(a, n):
+    """Square and multiply on `_reference_mul`, in the order `Matrix.__pow__`
+    has always used: the order decides whether a cancelled Gaussian cell
+    comes out as a `Fraction` zero or a `GaussianRational` zero."""
     out = Matrix([[Fraction(int(i == j)) for j in range(a.rows)] for i in range(a.rows)], a.rows, a.rows)
-    for _ in range(n):
-        out = _reference_mul(out, a)
+    base = a
+    while n:
+        if n & 1:
+            out = _reference_mul(out, base)
+        base = _reference_mul(base, base)
+        n >>= 1
     return out
 
 
@@ -377,6 +384,13 @@ class TestIntegerArithmetic:
     def test_powers_match_reference(self, data, n, k):
         m = data.draw(_matrix_of(n, n))
         _assert_same(m**k, _reference_pow(m, k))
+
+    def test_power_keeps_cancelled_gaussian_cell_type(self):
+        # (m**2)**2 cancels the cell (2, 1) to a GaussianRational zero, and the
+        # identity times that square leaves it a Fraction zero
+        m = Matrix([[0, 0, 0, 0], [0, 4 * I, 0, 0], [0, 1, 4, 0], [0, 0, 0, 0]])
+        _assert_same(m**4, _reference_pow(m, 4))
+        assert type((m**4).entries[2][1]) is Fraction
 
     @given(_nilpotents())
     @example(Matrix([[0, 0, 2, 0], [0, 0, 0, 0], [I, 0, 0, -2 * I], [0, 0, 1, 0]]))

@@ -9,7 +9,8 @@ what the golden-file tests pin down.
 
 Exit-code contract used by the command line: 0 when the requested check
 passes, 1 when the mathematics says no (a failed verdict is still a
-successful computation), 2 for malformed input.
+successful computation), 2 for malformed or oversized input and for a
+relative filtration the search leaves undetermined.
 """
 
 from __future__ import annotations
@@ -27,9 +28,14 @@ from .filtration import (
     compatible_filtrations,
 )
 from .lefschetz import GradedBilinearStructure, GradedSpace, polarization_check
-from .monodromy import mf_property, monodromy_filtration, relative_monodromy
+from .monodromy import (
+    UndeterminedRelativeFiltration,
+    mf_property,
+    monodromy_filtration,
+    relative_monodromy,
+)
 from .rees import compatibility_via_flatness, koszul_homology, rees_of
-from .fixtures import fixture_nilsson, fixture_summary
+from .fixtures import MAX_FIXTURE_SIZE, fixture_nilsson, fixture_summary
 
 FORMAT_TAG = "weightfilt.v1"
 
@@ -348,7 +354,9 @@ def run_task(doc: Document) -> Dict[str, object]:
     The report always carries the format tag, the task, a boolean
     ``verdict``, and task-specific ``details``.  Precondition violations
     (non-nilpotent operators, non-commuting families, bad shapes) surface
-    as `DocumentError`, distinct from negative verdicts.
+    as `DocumentError`, distinct from negative verdicts, and so does an
+    `UndeterminedRelativeFiltration`: it is neither a proof nor a
+    refutation.
     """
     p = doc.payload
     path = "$.payload"
@@ -369,7 +377,7 @@ def run_task(doc: Document) -> Dict[str, object]:
         lf = centered_filtration_from_json(_get(p, "filtration", path), f"{path}.filtration")
         try:
             res = relative_monodromy(op, lf)
-        except ValueError as exc:
+        except (ValueError, UndeterminedRelativeFiltration) as exc:
             raise DocumentError(path, str(exc)) from None
         verdict = res.exists
         if res.exists:
@@ -394,6 +402,8 @@ def run_task(doc: Document) -> Dict[str, object]:
             rep = mf_property(ops)
         except ValueError as exc:
             raise DocumentError(f"{path}.operators", str(exc)) from None
+        except UndeterminedRelativeFiltration as exc:
+            raise DocumentError(path, str(exc)) from None
         verdict = rep.holds
         details = {"total": _centered_summary(rep.total)}
         if rep.iterated is not None:
@@ -475,6 +485,8 @@ def run_task(doc: Document) -> Dict[str, object]:
         order = _expect_int(p.get("order", 0), f"{path}.order")
         if q < 1:
             raise DocumentError(f"{path}.denominator", "denominator must be positive")
+        if q > MAX_FIXTURE_SIZE:
+            raise DocumentError(f"{path}.denominator", f"denominator {q} exceeds the limit {MAX_FIXTURE_SIZE}")
         if order < 0:
             raise DocumentError(f"{path}.order", "truncation order must be nonnegative")
         factors = fixture_nilsson(q, order)

@@ -495,11 +495,7 @@ class Matrix(Immutable):
     def from_columns(cls, cols: Sequence[Sequence[ScalarLike]], nrows: int) -> "Matrix":
         if not cols:
             return cls.zero(nrows, 0)
-        return cls(
-            [[as_scalar(col[i]) for col in cols] for i in range(nrows)],
-            nrows,
-            len(cols),
-        )
+        return cls([[col[i] for col in cols] for i in range(nrows)], nrows, len(cols))
 
     # -- structure -------------------------------------------------------
 
@@ -788,7 +784,8 @@ class Subspace(Immutable):
 
     def coordinates_of(self, v: Sequence[ScalarLike]) -> Optional[Tuple[Scalar, ...]]:
         """Coefficients of ``v`` in the stored basis, or None if outside."""
-        return solve_columns([b for b in self.basis], _as_vector(v))
+        vec = _as_vector(v)
+        return None if any(self.reduce_vector(vec)) else self.rref_coordinates(vec)
 
     def rref_coordinates(self, v: Sequence[ScalarLike]) -> Tuple[Scalar, ...]:
         """Coefficients of a vector *known to lie in the subspace*.
@@ -911,9 +908,11 @@ def image_of(m: Matrix) -> Subspace:
 class QuotientPresentation(Immutable):
     """A subquotient ``sub/den`` presented by explicit coset representatives.
 
-    Representatives are chosen deterministically (reduced against the
-    denominator and earlier representatives), so equal subquotients get
-    equal presentations.
+    The representatives are the reduced row echelon basis of the residues
+    of ``sub``'s basis against ``den``, so they are zero at ``den``'s
+    pivots and span a complement of ``den`` in ``sub``.  Equal subquotients
+    get equal presentations, and `reduce` reads a vector's coordinates at
+    the representatives' pivots after reducing it against ``den``.
 
     >>> V = Subspace.full(2)
     >>> L = Subspace.span([(1, 1)], 2)
@@ -924,25 +923,19 @@ class QuotientPresentation(Immutable):
     True
     """
 
-    __slots__ = ("sub", "den", "reps", "ambient_dim", "_solver_rows")
+    __slots__ = ("sub", "den", "reps", "ambient_dim", "_complement")
 
     def __init__(self, sub: Subspace, den: Subspace) -> None:
         if sub.ambient_dim != den.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         if not sub.contains(den):
             raise ValueError("denominator is not contained in the numerator")
-        reps: List[Vector] = []
-        current = den
-        for v in sub.basis:
-            r = current.reduce_vector(v)
-            if any(r):
-                reps.append(r)
-                current = Subspace(sub.ambient_dim, list(current.basis) + [r])
+        complement = Subspace(sub.ambient_dim, [den.reduce_vector(b) for b in sub.basis])
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "reps", tuple(reps))
+        object.__setattr__(self, "reps", complement.basis)
         object.__setattr__(self, "ambient_dim", sub.ambient_dim)
-        object.__setattr__(self, "_solver_rows", tuple(reps) + den.basis)
+        object.__setattr__(self, "_complement", complement)
 
     @property
     def dim(self) -> int:
@@ -950,10 +943,10 @@ class QuotientPresentation(Immutable):
 
     def reduce(self, v: Sequence[ScalarLike]) -> Tuple[Scalar, ...]:
         """Coordinates of ``v + den`` in the representative basis."""
-        coeffs = solve_columns(list(self._solver_rows), _as_vector(v))
-        if coeffs is None:
+        coords = self._complement.coordinates_of(self.den.reduce_vector(v))
+        if coords is None:
             raise ValueError("vector is not in the numerator subspace")
-        return coeffs[: len(self.reps)]
+        return coords
 
     def lift(self, coords: Sequence[ScalarLike]) -> Vector:
         cs = _as_vector(coords)

@@ -10,12 +10,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 from typing import Dict, List, Sequence, Tuple
 
 from .exact import Immutable, Matrix, Subspace
 from .filtration import Filtration
 from .lefschetz import GradedBilinearStructure, GradedSpace
 from .nearby import NilssonFactor
+
+MAX_FIXTURE_SIZE = 64
+"""The largest ambient dimension of a named ``V<k>`` or ``tensor-...``
+fixture, and the largest denominator of a Nilsson factor list, that
+`fixture_summary` and the ``nilsson-demo`` task build.  The string and
+tensor fixtures hold dense square matrices of their dimension, and a
+Nilsson list holds one factor per unit of the denominator; at this size
+each summary takes a fraction of a second."""
 
 
 class VkFixture(Immutable):
@@ -207,9 +216,11 @@ def fixture_summary(name: str) -> Dict[str, object]:
     """A printable description of a named fixture (for the command line).
 
     Names: ``V<k>`` (string fixtures), ``tensor-<m1>-<m2>-...`` (Jordan
-    tensors), ``nilsson-<q>-<order>`` (log factor lists).
+    tensors), ``nilsson-<q>-<order>`` (log factor lists).  A name whose
+    fixture exceeds `MAX_FIXTURE_SIZE` is refused before anything is built.
     """
     if name.startswith("V") and name[1:].isdigit():
+        _check_size("ambient dimension", int(name[1:]) + 1)
         f = VkFixture(int(name[1:]))
         return {
             "fixture": name,
@@ -219,6 +230,7 @@ def fixture_summary(name: str) -> Dict[str, object]:
         }
     if name.startswith("tensor-"):
         sizes = tuple(int(x) for x in name.split("-")[1:])
+        _check_size("ambient dimension", prod(sizes))
         t = TensorJordanFixture(sizes)
         return {
             "fixture": name,
@@ -233,6 +245,7 @@ def fixture_summary(name: str) -> Dict[str, object]:
         if len(parts) != 3:
             raise ValueError("nilsson fixture names look like nilsson-<q>-<order>")
         q, order = int(parts[1]), int(parts[2])
+        _check_size("denominator", q)
         fs = fixture_nilsson(q, order)
         return {
             "fixture": name,
@@ -243,3 +256,8 @@ def fixture_summary(name: str) -> Dict[str, object]:
             ],
         }
     raise ValueError(f"unknown fixture name: {name}")
+
+
+def _check_size(what: str, size: int) -> None:
+    if size > MAX_FIXTURE_SIZE:
+        raise ValueError(f"{what} {size} exceeds the limit {MAX_FIXTURE_SIZE}")

@@ -317,7 +317,9 @@ def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyR
     full = Subspace.full(d)
     zero = Subspace.zero(d)
     top_jump, bottom_jump = jumps[-1], jumps[0]
-    for ell in range(lo - 1, hi + 1):
+    # one zero level below and one full level above the range, so that both
+    # sweeps read ``ub[ell - 2]`` and ``lb[ell + 2]`` without boundary cases
+    for ell in range(lo - 2, hi + 2):
         if ell < lo:
             ub[ell], lb[ell] = zero, zero
         elif ell >= hi:
@@ -339,19 +341,9 @@ def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyR
     while True:
         before = state_signature()
         for ell in range(hi - 1, lo - 1, -1):
-            new = ub[ell].intersect(ub[ell + 1])
-            if ell - 2 >= lo - 1:
-                new = new.intersect(ub[ell - 2].preimage_under(op.matrix))
-            else:
-                new = new.intersect(zero.preimage_under(op.matrix))
-            ub[ell] = new
+            ub[ell] = ub[ell].intersect(ub[ell + 1]).intersect(ub[ell - 2].preimage_under(op.matrix))
         for ell in range(lo, hi):
-            grown = lb[ell].sum(lb[ell - 1]) if ell - 1 >= lo - 1 else lb[ell]
-            if ell + 2 <= hi:
-                grown = grown.sum(lb[ell + 2].image_under(op.matrix))
-            else:
-                grown = grown.sum(full.image_under(op.matrix))
-            lb[ell] = grown
+            lb[ell] = lb[ell].sum(lb[ell - 1]).sum(lb[ell + 2].image_under(op.matrix))
         for ell in range(lo, hi):
             for k in jumps:
                 cap = ub[ell].intersect(lfilt.value_at(k)).intersect(pre[(k, ell)])
@@ -426,7 +418,8 @@ def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyR
         level, msg = failure
         return refute(level, "axiom", None, f"unique candidate fails certification: {msg}")
     raise UndeterminedRelativeFiltration(
-        "bounds left freedom and the canonical completion fails certification: "
+        "the relative filtration is undetermined: bounds left freedom and the "
+        "canonical completion fails certification: "
         + failure[1]
     )
 

@@ -11,8 +11,10 @@ test_filtration.py, test_rees.py and test_monodromy.py),
 bilinear structures and monodromic modules keep the nilpotent operators
 they certify instead of rebuilding them, and `Matrix` arithmetic builds
 its results from entries that are already exact scalars without coercing
-them again.  Each test here recomputes what
-is no longer checked at run time.
+them again, and `QuotientPresentation.reduce`, `induced_matrix` and
+`Subspace.coordinates_of` read coordinates at pivots without solving a
+linear system.  Each test here recomputes what is no longer checked at
+run time.
 """
 
 import random
@@ -183,6 +185,7 @@ def test_rational_arithmetic_coerces_no_entries(monkeypatch):
     def refuse(self, *args):
         raise AssertionError("built a Matrix through __init__")
 
+    init = Matrix.__init__
     monkeypatch.setattr(exact, "as_scalar", counting)
     monkeypatch.setattr(Matrix, "__init__", refuse)
     for result in (a * b, a + b, a - b, -a, a**3, a.transpose(), Matrix.identity(3), Matrix.zero(2, 3)):
@@ -191,6 +194,26 @@ def test_rational_arithmetic_coerces_no_entries(monkeypatch):
     # a scalar multiple coerces the scalar, once
     a * 2
     assert coerced == [2]
+    # from_columns leaves the coercion of its n entries to __init__: n calls
+    monkeypatch.setattr(Matrix, "__init__", init)
+    coerced.clear()
+    Matrix.from_columns([(Fraction(1, 2), 0, 3), (1, Fraction(-1, 3), 0)], 3)
+    assert len(coerced) == 6
+
+
+def test_subquotient_coordinates_are_read_at_pivots(monkeypatch):
+    # the RREF complement makes every coordinate a pivot read: no solve
+    def refuse(*args):
+        raise AssertionError("solved a linear system")
+
+    sub = Subspace.span([(1, 2, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0)], 4)
+    den = Subspace.span([(1, 2, 0, 1)], 4)
+    monkeypatch.setattr(exact, "solve_columns", refuse)
+    q = QuotientPresentation(sub, den)
+    assert q.reduce((2, 5, 1, 2)) == q.reduce((0, 1, 1, 0))
+    assert q.induced_matrix(Matrix.identity(4), q) == Matrix.identity(2)
+    assert sub.coordinates_of((1, 3, 1, 1)) is not None
+    assert sub.coordinates_of((0, 0, 0, 1)) is None
 
 
 def _assert_nilpotents_match(structure):

@@ -10,6 +10,26 @@ from weightfilt.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+# The relative filtration of this operator over this L is undetermined: the
+# bounds leave freedom, and the canonical completion fails certification.
+UNDETERMINED_RELATIVE_PAYLOAD = {
+    "operator": [
+        ["0", "-1", "0", "0", "0"],
+        ["0", "0", "1", "0", "-1"],
+        ["0", "0", "0", "0", "1"],
+        ["0", "0", "0", "0", "-1"],
+        ["0", "0", "0", "0", "0"],
+    ],
+    "filtration": {
+        "ambient_dim": 5,
+        "steps": [
+            {"index": -3, "basis": [["1", "0", "0", "0", "0"], ["0", "1", "0", "0", "0"], ["0", "0", "1", "-1", "0"]]},
+            {"index": -2, "basis": [[str(int(i == j)) for j in range(5)] for i in range(4)]},
+            {"index": 1, "basis": [[str(int(i == j)) for j in range(5)] for i in range(5)]},
+        ],
+    },
+}
+
 
 @pytest.fixture()
 def runner():
@@ -89,6 +109,31 @@ class TestExitCodes:
         res = runner.invoke(main, ["check", "lefschetz", "--input", str(p)])
         assert res.exit_code == 2
         assert "input error: $.payload: no sl2 completion" in res.stderr
+
+
+    def test_undetermined_relative_filtration_is_two(self, runner, tmp_path):
+        doc = {"format": "weightfilt.v1", "task": "check-relative", "payload": UNDETERMINED_RELATIVE_PAYLOAD}
+        p = tmp_path / "undetermined.json"
+        p.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["check", "relmono", "--input", str(p)])
+        assert res.exit_code == 2
+        assert "input error: $.payload: the relative filtration is undetermined" in res.stderr
+        assert "does not exist" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "args,path",
+        [
+            (["fixture", "V64"], "$.payload.name"),
+            (["fixture", "tensor-5-13"], "$.payload.name"),
+            (["fixture", "nilsson-65-1"], "$.payload.name"),
+            (["nilsson", "demo", "-q", "65"], "$.payload.denominator"),
+        ],
+    )
+    def test_oversized_fixture_is_two(self, runner, args, path):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert f"input error: {path}:" in res.stderr
+        assert "exceeds the limit 64" in res.stderr
 
 
 class TestStdin:

@@ -29,13 +29,16 @@ from weightfilt.document import (
     vector_from_json,
     vector_to_json,
 )
+from weightfilt import document, fixtures
 from weightfilt.exact import GaussianRational, Matrix, Subspace
 from weightfilt.filtration import Filtration
-from weightfilt.monodromy import monodromy_filtration
+from weightfilt.fixtures import MAX_FIXTURE_SIZE
+from weightfilt.monodromy import UndeterminedRelativeFiltration, monodromy_filtration
 
 from strategies import small_fractions
 
 import strategies as strat
+from test_cli import UNDETERMINED_RELATIVE_PAYLOAD
 
 
 class TestScalarGrammar:
@@ -241,6 +244,48 @@ class TestRunTask:
         with pytest.raises(DocumentError):
             run_task(Document("fixture-info", {"name": "garbage"}))
 
+    @pytest.mark.parametrize(
+        "name,reason",
+        [
+            ("V64", "ambient dimension 65 exceeds"),
+            ("V99999999", "ambient dimension 100000000 exceeds"),
+            ("tensor-8-8-8", "ambient dimension 512 exceeds"),
+            ("tensor-5-13", "ambient dimension 65 exceeds"),
+            ("nilsson-65-1", "denominator 65 exceeds"),
+        ],
+    )
+    def test_oversized_fixture_is_refused_before_building(self, monkeypatch, name, reason):
+        def refuse(*args):
+            raise AssertionError("built an oversized fixture")
+
+        for builder in ("VkFixture", "TensorJordanFixture", "fixture_nilsson"):
+            monkeypatch.setattr(fixtures, builder, refuse)
+        with pytest.raises(DocumentError, match=reason) as err:
+            run_task(Document("fixture-info", {"name": name}))
+        assert err.value.path == "$.payload.name"
+
+    @pytest.mark.parametrize("name", ["V63", "tensor-8-8", "tensor-4-4-4", "nilsson-64-0"])
+    def test_fixtures_at_the_limit_are_built(self, name):
+        assert run_task(Document("fixture-info", {"name": name}))["verdict"] is True
+
+    def test_undetermined_relative_filtration_is_an_input_error(self):
+        with pytest.raises(DocumentError, match="undetermined") as err:
+            run_task(Document("check-relative", UNDETERMINED_RELATIVE_PAYLOAD))
+        assert err.value.path == "$.payload"
+        assert "does not exist" not in str(err.value)
+
+    def test_undetermined_iterated_filtration_is_an_input_error(self, monkeypatch):
+        # mf_property reaches relative_monodromy; its undetermined case
+        # surfaces the same way
+        def undetermined(ops):
+            raise UndeterminedRelativeFiltration("the relative filtration is undetermined: test")
+
+        monkeypatch.setattr(document, "mf_property", undetermined)
+        payload = {"operators": [[["0", "1"], ["0", "0"]]]}
+        with pytest.raises(DocumentError, match="undetermined") as err:
+            run_task(Document("check-iterated", payload))
+        assert err.value.path == "$.payload"
+
 
 class TestEmitReport:
     def test_structured_output_is_stable_json(self):
@@ -360,12 +405,16 @@ class TestDocumentFuzz:
         assert _report_or_input_error("check-lefschetz", payload)["verdict"] is True
 
     @given(
-        denominator=st.integers(min_value=-3, max_value=6),
+        denominator=st.one_of(
+            st.integers(min_value=-3, max_value=6),
+            st.integers(min_value=MAX_FIXTURE_SIZE - 2, max_value=MAX_FIXTURE_SIZE + 2),
+        ),
         order=st.integers(min_value=-3, max_value=3),
     )
     @example(denominator=3, order=-1)
+    @example(denominator=MAX_FIXTURE_SIZE + 1, order=0)
     @settings(max_examples=60, deadline=None)
     def test_nilsson_demo_ints(self, denominator, order):
         payload = {"denominator": denominator, "order": order}
         report = _report_or_input_error("nilsson-demo", payload)
-        assert (report is not None) == (denominator >= 1 and order >= 0)
+        assert (report is not None) == (1 <= denominator <= MAX_FIXTURE_SIZE and order >= 0)

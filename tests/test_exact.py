@@ -1,5 +1,6 @@
 """Exact arithmetic and subspace-lattice foundations."""
 
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -488,6 +489,143 @@ class TestQuotientPresentation:
         for k in range(q.dim):
             e = tuple(Fraction(1) if i == k else Fraction(0) for i in range(q.dim))
             assert q.reduce(q.lift(e)) == e
+
+
+class _ReferencePresentation:
+    """`QuotientPresentation` before its representatives became an RREF
+    complement: each basis vector of ``sub`` reduced against ``den`` and the
+    representatives before it, with a new `Subspace` built per
+    representative, and every vector solved against the representatives and
+    ``den``'s basis by one `solve_columns` elimination."""
+
+    def __init__(self, sub, den):
+        reps, current = [], den
+        for v in sub.basis:
+            r = current.reduce_vector(v)
+            if any(r):
+                reps.append(r)
+                current = Subspace(sub.ambient_dim, list(current.basis) + [r])
+        self.reps, self.den = tuple(reps), den
+
+    def reduce(self, v):
+        coeffs = solve_columns(list(self.reps) + list(self.den.basis), tuple(v))
+        if coeffs is None:
+            raise ValueError("vector is not in the numerator subspace")
+        return coeffs[: len(self.reps)]
+
+
+def _reference_coordinates(s, v):
+    """`Subspace.coordinates_of` before the pivot read: one solve."""
+    return solve_columns(list(s.basis), tuple(_exact(x) for x in v))
+
+
+_PAIR_KINDS = {kind: _ENTRY_KINDS[kind] for kind in ("rational", "gaussian")}
+
+# A subquotient ``sub/den`` with the data the checks run on: coordinate
+# vectors for the quotient, coefficient vectors for ``sub``'s basis, vectors
+# of the ambient space and an operator on it.
+_Case = namedtuple("_Case", "sub den coords combos vectors op")
+
+
+@st.composite
+def _subquotient_cases(draw):
+    """``den`` spans some drawn vectors and ``sub`` spans them and some
+    more, so zero, full and equal pairs all occur; every entry is of one
+    drawn kind, rational or Gaussian."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entries = _PAIR_KINDS[draw(st.sampled_from(sorted(_PAIR_KINDS)))]
+
+    def vecs(length, count=None):
+        vec = st.lists(entries, min_size=length, max_size=length)
+        return draw(st.lists(vec, min_size=count or 0, max_size=count or n))
+
+    low, extra = vecs(n), vecs(n)
+    sub, den = Subspace(n, low + extra), Subspace(n, low)
+    op = Matrix(vecs(n, n), n, n)
+    return _Case(sub, den, vecs(sub.dim - den.dim, 2), vecs(sub.dim, 2), vecs(n, 3), op)
+
+
+def _fixed_case(sub, den, op):
+    """A case on given spaces and operator, with all-ones and unit vectors."""
+    n, q = sub.ambient_dim, sub.dim - den.dim
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return _Case(sub, den, [(1,) * q], [(1,) * sub.dim], [(1,) * n] + units, op)
+
+
+_SHIFT = Matrix([[int(j == i + 1) for j in range(3)] for i in range(3)])
+_SPECIAL_CASES = [
+    _fixed_case(Subspace.zero(3), Subspace.zero(3), _SHIFT),
+    _fixed_case(Subspace.full(3), Subspace.zero(3), _SHIFT),
+    _fixed_case(Subspace.full(3), Subspace.full(3), _SHIFT),
+    _fixed_case(Subspace.span([(1, I, 0), (0, 0, 1)], 3), Subspace.span([(1, I, 0)], 3), Matrix.identity(3) * I),
+    _fixed_case(Subspace.span([(1, I, 0)], 3), Subspace.span([(1, I, 0)], 3), _SHIFT),
+]
+
+
+def _subquotient_examples(test):
+    for case in _SPECIAL_CASES:
+        test = example(case=case)(test)
+    return settings(max_examples=200, deadline=None)(given(case=_subquotient_cases())(test))
+
+
+def _combination(coeffs, vectors, n):
+    out = [Fraction(0)] * n
+    for c, v in zip(coeffs, vectors):
+        out = [a + _exact(c) * b for a, b in zip(out, v)]
+    return tuple(out)
+
+
+def _members(case):
+    n = case.sub.ambient_dim
+    return [_combination(c, case.sub.basis, n) for c in case.combos]
+
+
+class TestQuotientComplement:
+    """The RREF-complement presentation and the pivot-read `coordinates_of`
+    against the sequential representatives and `solve_columns` solves they
+    replaced, on rational and Gaussian subquotients."""
+
+    @_subquotient_examples
+    def test_presentation_matches_reference(self, case):
+        sub, den, m = case.sub, case.den, case.op
+        q, ref = QuotientPresentation(sub, den), _ReferencePresentation(sub, den)
+        # the representatives complement the denominator, in RREF and zero
+        # at the denominator's pivots
+        assert q.dim == len(ref.reps) == sub.dim - den.dim
+        assert Subspace(sub.ambient_dim, den.basis + q.reps) == sub
+        assert Subspace(sub.ambient_dim, q.reps).basis == q.reps
+        assert all(rep[p] == 0 for rep in q.reps for p in den._pivots)
+        # reduce and lift are inverse modulo the denominator
+        for c in case.coords:
+            assert q.reduce(q.lift(c)) == tuple(_exact(x) for x in c)
+        for v in _members(case):
+            assert den.contains_vector([a - b for a, b in zip(q.lift(q.reduce(v)), v)])
+        # non-members raise, as they did
+        for v in case.vectors:
+            if not sub.contains_vector(v):
+                with pytest.raises(ValueError, match="not in the numerator"):
+                    q.reduce(v)
+                with pytest.raises(ValueError, match="not in the numerator"):
+                    ref.reduce(v)
+        # induced matrices are conjugate to the reference's by the matrices
+        # of the reference's representatives in the new ones
+        target = (sub.image_under(m), den.image_under(m))
+        qt, ref_t = QuotientPresentation(*target), _ReferencePresentation(*target)
+        got = q.induced_matrix(m, qt)
+        want = Matrix.from_columns([ref_t.reduce(m.apply(rep)) for rep in ref.reps], len(ref_t.reps))
+        change = Matrix.from_columns([q.reduce(rep) for rep in ref.reps], q.dim)
+        change_t = Matrix.from_columns([qt.reduce(rep) for rep in ref_t.reps], qt.dim)
+        assert change.rank() == q.dim and change_t.rank() == qt.dim
+        assert got * change == change_t * want
+        for v in _members(case):
+            assert q.reduce(v) == change.apply(ref.reduce(v))
+
+    @_subquotient_examples
+    def test_coordinates_of_matches_reference(self, case):
+        for v in _members(case) + case.vectors:
+            got, want = case.sub.coordinates_of(v), _reference_coordinates(case.sub, v)
+            assert got == want
+            assert (got is None) == (not case.sub.contains_vector(v))
 
 
 class TestPositivity:

@@ -38,6 +38,7 @@ from .rees import compatibility_via_flatness, koszul_homology, rees_of
 from .fixtures import MAX_FIXTURE_SIZE, fixture_nilsson, fixture_summary
 
 FORMAT_TAG = "weightfilt.v1"
+MAX_FAMILY_SIZE = 8  # most filtrations a check-compat, koszul-homology or rees-summary payload may hold
 
 _INT_RE = r"-?(?:0|[1-9]\d*)"
 _RAT_RE = rf"{_INT_RE}(?:/\d+)?"
@@ -248,10 +249,13 @@ def centered_filtration_to_json(f: Filtration) -> Dict[str, object]:
 
 def multifiltration_from_json(obj: object, path: str) -> MultiFiltration:
     d = _expect_dict(obj, path)
-    filts = [
-        filtration_from_json(f, f"{path}.filtrations[{i}]")
-        for i, f in enumerate(_expect_list(_get(d, "filtrations", path), f"{path}.filtrations"))
-    ]
+    items = _expect_list(_get(d, "filtrations", path), f"{path}.filtrations")
+    if len(items) > MAX_FAMILY_SIZE:
+        # n filtrations mean 3^n cells per lattice point and n! orders
+        raise DocumentError(
+            f"{path}.filtrations", f"{len(items)} filtrations exceed the limit {MAX_FAMILY_SIZE}"
+        )
+    filts = [filtration_from_json(f, f"{path}.filtrations[{i}]") for i, f in enumerate(items)]
     try:
         return MultiFiltration(filts)
     except ValueError as exc:

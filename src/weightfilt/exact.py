@@ -15,7 +15,10 @@ Rational data is handled as Python ints wherever that is cheaper:
 `rref` and `rank_of_rows` run one fraction-free integer elimination, and
 `Matrix` products, ``apply``, sums and rational scalar multiples run on
 each matrix's sparse integer form (its entries times the lcm of their
-denominators), multiplying only nonzero entries.  Results are returned as
+denominators), multiplying only nonzero entries.  A rational `Subspace`
+stores its reduced rows as primitive integer rows, so membership, sums,
+intersections, images, preimages and kernels build no `Fraction`; its
+`Fraction` basis is built on first read.  Results are returned as
 `Fraction`s, never as ints.  Data holding a `GaussianRational` takes a
 generic loop over the scalars instead.
 """
@@ -197,22 +200,29 @@ _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
 
+def _int_vector(v: Sequence[ScalarLike]) -> Optional[Tuple[List[int], int]]:
+    """``(ints, scale)`` with ``v == ints / scale``, where ``scale`` is the lcm
+    of the denominators; None unless every entry is an `int` or a `Fraction`."""
+    try:
+        dens = [x.denominator for x in v]
+    except AttributeError:
+        return None
+    scale = lcm(*dens)
+    if scale == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (scale // d) for x, d in zip(v, dens)], scale
+
+
 def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> Optional[List[List[int]]]:
     """The nonzero rows, each scaled to integers by the lcm of its
     denominators; None if an entry is not rational (a `GaussianRational`)."""
     out: List[List[int]] = []
     for row in rows:
-        try:
-            dens = [x.denominator for x in row]
-        except AttributeError:
+        scaled = _int_vector(row)
+        if scaled is None:
             return None
-        scale = lcm(*dens)
-        if scale == 1:
-            ints = [x.numerator for x in row]
-        else:
-            ints = [x.numerator * (scale // d) for x, d in zip(row, dens)]
-        if any(ints):
-            out.append(ints)
+        if any(scaled[0]):
+            out.append(scaled[0])
     return out
 
 
@@ -398,6 +408,17 @@ def _sparse_sum(a: _IntForm, b: _IntForm, sign: int, cols: int) -> Tuple[int, Li
     return scale, out
 
 
+def _apply_ints(form: _IntForm, ints: Sequence[int]) -> List[int]:
+    """The integer vector ``rows · ints`` for the rows of an integer form."""
+    out = []
+    for srow in form[1]:
+        t = 0
+        for j, a in srow:
+            t += a * ints[j]
+        out.append(t)
+    return out
+
+
 class Matrix(Immutable):
     """An immutable exact matrix.
 
@@ -524,7 +545,8 @@ class Matrix(Immutable):
         return self.rows == self.cols
 
     def rank(self) -> int:
-        return rank_of_rows(self.entries)
+        # a matrix with no rows or no columns has rank 0 by shape
+        return rank_of_rows(self.entries) if self.rows and self.cols else 0
 
     # -- arithmetic ------------------------------------------------------
 
@@ -611,30 +633,24 @@ class Matrix(Immutable):
         return out
 
     def apply(self, v: Sequence[ScalarLike]) -> Vector:
-        vec = _as_vector(v)
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match matrix columns")
         form = self._integer_form()
-        if form is not None:
-            try:
-                dens = [x.denominator for x in vec]
-            except AttributeError:
-                form = None
-        if form is None:
+        scaled = _int_vector(v) if form is not None else None
+        if scaled is None:
+            vec = _as_vector(v)
+            if len(vec) != self.cols:
+                raise ValueError("vector length does not match matrix columns")
             return tuple(
                 sum((a * b for a, b in zip(row, vec) if a and b), _ZERO)
                 for row in self.entries
             )
-        vs = lcm(*dens)
-        ints = [x.numerator * (vs // d) for x, d in zip(vec, dens)]
+        ints, vs = scaled
+        if len(ints) != self.cols:
+            raise ValueError("vector length does not match matrix columns")
         scale = form[0] * vs
-        out = []
-        for srow in form[1]:
-            t = 0
-            for j, a in srow:
-                t += a * ints[j]
-            out.append(_ZERO if not t else Fraction(t) if scale == 1 else Fraction(t, scale))
-        return tuple(out)
+        return tuple(
+            _ZERO if not t else Fraction(t) if scale == 1 else Fraction(t, scale)
+            for t in _apply_ints(form, ints)
+        )
 
     def commutes_with(self, other: "Matrix") -> bool:
         return self * other == other * self
@@ -671,11 +687,82 @@ class Matrix(Immutable):
         return f"Matrix({[[str(x) for x in row] for row in self.entries]})"
 
 
+# The stored form of a subspace: (integer rows, pivots, basis).  A rational
+# subspace keeps its RREF rows as primitive integer rows with positive pivots
+# and no basis (it is built on first read); a subspace with a non-real RREF
+# keeps no integer rows and its RREF rows over Q(i) as the basis.
+_Form = Tuple[Optional[Tuple[Tuple[int, ...], ...]], Tuple[int, ...], Optional[Tuple[Vector, ...]]]
+
+
+def _primitive(row: Sequence[int], c: int) -> Tuple[int, ...]:
+    """``row`` divided by the gcd of its entries, signed so that the entry
+    in column ``c`` is positive."""
+    g = gcd(*row)
+    if row[c] < 0:
+        g = -g
+    return tuple(row) if g == 1 else tuple(a // g for a in row)
+
+
+def _int_span(mat: List[List[int]]) -> _Form:
+    """The stored form of the span of integer rows, which are reduced in place.
+
+    `_eliminate` leaves each pivot row equal to its RREF row times a nonzero
+    integer, so making it primitive with a positive pivot gives the one
+    integer row on that RREF row's line.
+    """
+    pivots = _eliminate(mat, above=True)
+    return tuple(_primitive(row, c) for row, c in zip(mat, pivots)), tuple(pivots), None
+
+
+def _int_null_space(mat: List[List[int]], ncols: int) -> _Form:
+    """The stored form of the null space of integer rows of width ``ncols``
+    (reduced in place).
+
+    The kernel vector of free column ``f`` is ``s`` at ``f`` and
+    ``-row[f] * s / row[p]`` at the pivot ``p`` of each row with
+    ``row[f] != 0``, where ``s`` is the lcm of those rows' pivot entries,
+    so it has integer entries.
+    """
+    pairs = list(zip(mat, _eliminate(mat, above=True)))
+    pivot_set = {p for _, p in pairs}
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        acting = [(row, p) for row, p in pairs if row[f]]
+        s = lcm(*[row[p] for row, p in acting])
+        v = [0] * ncols
+        v[f] = s
+        for row, p in acting:
+            v[p] = -row[f] * (s // row[p])
+        basis.append(v)
+    return _int_span(basis)
+
+
+def _field_span(reduced: Sequence[Sequence[Scalar]], pivots: Sequence[int]) -> _Form:
+    """The stored form of a span given by its RREF over Q(i): integer rows
+    when every entry is real, so that such a span equals (and hashes like)
+    the same rational subspace; else the RREF rows themselves."""
+    real = _integer_rows(
+        [[x.re if isinstance(x, GaussianRational) and not x.im else x for x in row] for row in reduced]
+    )
+    if real is None:
+        return None, tuple(pivots), tuple(tuple(row) for row in reduced)
+    return tuple(_primitive(row, c) for row, c in zip(real, pivots)), tuple(pivots), None
+
+
 class Subspace(Immutable):
     """A linear subspace with a canonical reduced-row-echelon basis.
 
-    Canonicalization makes equality (and hashing) structural: two subspaces
-    are equal iff their stored bases are identical tuples.
+    A rational subspace stores each RREF row as its primitive integer row
+    with a positive pivot: the RREF row is that row divided by its pivot
+    entry, so the stored rows are unique.  Equality and hashing compare
+    these int tuples, and membership, sums, intersections, images,
+    preimages and kernels run fraction-free on them.  ``basis`` gives the
+    RREF rows as `Fraction`s; it is built on first read and kept.  A
+    subspace whose RREF has a non-real `GaussianRational` entry stores that
+    RREF as its basis and takes the generic field loops; one whose RREF is
+    real is stored as a rational subspace, whatever its input scalars.
 
     >>> u = Subspace.span([(1, 1, 0), (0, 0, 1)], 3)
     >>> w = Subspace.span([(2, 2, 2), (0, 0, -5)], 3)
@@ -687,36 +774,31 @@ class Subspace(Immutable):
     True
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots", "_hash")
+    __slots__ = ("ambient_dim", "_rows", "_pivots", "_basis", "_hash")
 
     def __init__(self, ambient_dim: int, basis: Sequence[Sequence[ScalarLike]]) -> None:
-        vecs = [_as_vector(b) for b in basis]
+        vecs = [tuple(b) for b in basis]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("basis vector length does not match ambient dimension")
-        # no vectors: the empty basis is already reduced
-        reduced, pivots = rref(vecs) if vecs else ((), ())
+        mat = _integer_rows(vecs)
+        self._fill(ambient_dim, _int_span(mat) if mat is not None else _field_span(*_field_rref(vecs)))
+
+    def _fill(self, ambient_dim: int, form: _Form) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(row) for row in reduced))
-        object.__setattr__(self, "_pivots", tuple(pivots))
+        object.__setattr__(self, "_rows", form[0])
+        object.__setattr__(self, "_pivots", form[1])
+        object.__setattr__(self, "_basis", form[2])
         object.__setattr__(self, "_hash", None)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _canonical(cls, ambient_dim: int, basis: Tuple[Vector, ...], pivots: Tuple[int, ...]) -> "Subspace":
-        """A subspace from rows already in reduced row echelon form.
-
-        The caller guarantees that ``basis`` is nonzero rows with a leading 1
-        at each of the increasing ``pivots`` and zeros elsewhere in those
-        columns, which is the basis ``__init__`` would compute, so the
-        elimination is skipped.
-        """
+    def _make(cls, ambient_dim: int, form: _Form) -> "Subspace":
+        """A subspace from a stored form the caller guarantees is canonical
+        (see `_Form`), skipping ``__init__``."""
         self = object.__new__(cls)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_pivots", pivots)
-        object.__setattr__(self, "_hash", None)
+        self._fill(ambient_dim, form)
         return self
 
     @classmethod
@@ -726,32 +808,70 @@ class Subspace(Immutable):
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         # the empty basis is in RREF
-        return cls._canonical(ambient_dim, (), ())
+        return cls._make(ambient_dim, ((), (), None))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         # the rows of the identity are in RREF, with pivots 0, 1, ..., n-1
-        one, zero = Fraction(1), Fraction(0)
-        rows = tuple(
-            tuple(one if i == j else zero for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return cls._canonical(ambient_dim, rows, tuple(range(ambient_dim)))
+        rows = tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim))
+        return cls._make(ambient_dim, (rows, tuple(range(ambient_dim)), None))
 
     # -- basic queries ----------------------------------------------------
 
     @property
+    def basis(self) -> Tuple[Vector, ...]:
+        """The reduced row echelon basis; for a rational subspace, its
+        `Fraction` rows are built from the integer rows on first read."""
+        if self._basis is None:
+            object.__setattr__(self, "_basis", tuple(
+                tuple(Fraction(a, row[c]) if a else _ZERO for a in row)
+                for row, c in zip(self._rows, self._pivots)
+            ))
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._pivots)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self._pivots
 
     def is_full(self) -> bool:
-        return len(self.basis) == self.ambient_dim
+        return len(self._pivots) == self.ambient_dim
+
+    def _residue(self, x: Sequence[int]) -> Tuple[List[int], int]:
+        """``(y, m)`` such that ``y / m`` is the residue of the integer vector
+        ``x`` against the basis; ``m`` is the lcm of the pivots used.
+
+        Each stored row is zero at the other rows' pivots, so the residue is
+        ``x - sum_r (x[p_r] / a_r) * row_r`` over the rows ``r`` with pivot
+        column ``p_r`` and pivot entry ``a_r``, all read from ``x`` itself.
+        """
+        acting = [(row, p) for row, p in zip(self._rows, self._pivots) if x[p]]
+        m = lcm(*[row[p] for row, p in acting])
+        y = [a * m for a in x] if m != 1 else list(x)
+        for row, p in acting:
+            f = x[p] * (m // row[p])
+            for j, a in enumerate(row):
+                if a:
+                    y[j] -= f * a
+        return y, m
+
+    def _scaled_vector(self, v: Sequence[ScalarLike]) -> Optional[Tuple[List[int], int]]:
+        """`_int_vector` of ``v`` for a rational subspace, after checking its
+        length; None when either side takes the field loop."""
+        scaled = _int_vector(v) if self._rows is not None else None
+        if scaled is not None and len(scaled[0]) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        return scaled
 
     def reduce_vector(self, v: Sequence[ScalarLike]) -> Vector:
         """Canonical residue of ``v`` after eliminating basis components."""
+        scaled = self._scaled_vector(v)
+        if scaled is not None:
+            y, m = self._residue(scaled[0])
+            m *= scaled[1]
+            return tuple(Fraction(a, m) if a else _ZERO for a in y)
         vec = list(_as_vector(v))
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
@@ -764,12 +884,21 @@ class Subspace(Immutable):
         return tuple(vec)
 
     def contains_vector(self, v: Sequence[ScalarLike]) -> bool:
+        scaled = self._scaled_vector(v)
+        if scaled is not None:
+            return not any(self._residue(scaled[0])[0])
         return not any(self.reduce_vector(v))
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains_vector(b) for b in other.basis)
+        if self._rows is None or other._rows is None:
+            return all(self.contains_vector(b) for b in other.basis)
+        # every leading column of a subspace is a leading column of any
+        # subspace containing it
+        if not set(other._pivots) <= set(self._pivots):
+            return False
+        return all(not any(self._residue(x)[0]) for x in other._rows)
 
     def __le__(self, other: "Subspace") -> bool:
         return other.contains(self)
@@ -784,8 +913,7 @@ class Subspace(Immutable):
 
     def coordinates_of(self, v: Sequence[ScalarLike]) -> Optional[Tuple[Scalar, ...]]:
         """Coefficients of ``v`` in the stored basis, or None if outside."""
-        vec = _as_vector(v)
-        return None if any(self.reduce_vector(vec)) else self.rref_coordinates(vec)
+        return self.rref_coordinates(v) if self.contains_vector(v) else None
 
     def rref_coordinates(self, v: Sequence[ScalarLike]) -> Tuple[Scalar, ...]:
         """Coefficients of a vector *known to lie in the subspace*.
@@ -794,8 +922,7 @@ class Subspace(Immutable):
         vector is just the entry of ``v`` at its pivot column, so this skips
         the linear solve.  Garbage in, garbage out when ``v`` is outside.
         """
-        vec = _as_vector(v)
-        return tuple(vec[p] for p in self._pivots)
+        return tuple(as_scalar(v[p]) for p in self._pivots)
 
     def extend_to(self, larger: "Subspace") -> List[Vector]:
         """Vectors of ``larger`` extending this basis (deterministic choice)."""
@@ -815,29 +942,59 @@ class Subspace(Immutable):
     def image_under(self, m: Matrix) -> "Subspace":
         if m.cols != self.ambient_dim:
             raise ValueError("operator does not act on this ambient space")
-        return Subspace(m.rows, [m.apply(b) for b in self.basis])
+        form = m._integer_form() if self._rows is not None else None
+        if form is None:
+            return Subspace(m.rows, [m.apply(b) for b in self.basis])
+        # the integer form is m times a nonzero scale, which keeps the span
+        return Subspace._make(m.rows, _int_span([_apply_ints(form, x) for x in self._rows]))
 
     def preimage_under(self, m: Matrix) -> "Subspace":
         """Largest subspace U with ``m(U)`` inside self (i.e. m^{-1}(self))."""
         if m.rows != self.ambient_dim:
             raise ValueError("operator does not land in this ambient space")
-        # v is in the preimage iff  m(v)  reduces to zero against our basis.
-        cols = []
-        for j in range(m.cols):
-            cols.append(self.reduce_vector(m.column(j)))
-        residue = Matrix.from_columns(cols, self.ambient_dim)
-        return kernel_of(residue)
+        form = m._integer_form() if self._rows is not None else None
+        if form is None:
+            # v is in the preimage iff  m(v)  reduces to zero against our basis.
+            cols = [self.reduce_vector(m.column(j)) for j in range(m.cols)]
+            return kernel_of(Matrix.from_columns(cols, self.ambient_dim))
+        # m(v) reduces to zero iff, at each column i that is not a pivot,
+        # s*m(v)_i == sum_r (s / a_r) * row_r[i] * m(v)_{p_r}, with s the
+        # lcm of the pivot entries a_r; the integer form's scale is common
+        # to both sides.  Pivot columns give no condition.
+        sparse = form[1]
+        pairs = list(zip(self._rows, self._pivots))
+        s = lcm(*[row[p] for row, p in pairs])
+        pivot_set = set(self._pivots)
+        eqs = []
+        for i in range(self.ambient_dim):
+            if i in pivot_set:
+                continue
+            acc = [0] * m.cols
+            for j, a in sparse[i]:
+                acc[j] = a * s
+            for row, p in pairs:
+                if row[i]:
+                    f = row[i] * (s // row[p])
+                    for j, a in sparse[p]:
+                        acc[j] -= f * a
+            eqs.append(acc)
+        return Subspace._make(m.cols, _int_null_space(eqs, m.cols))
 
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        if self.ambient_dim != other.ambient_dim:
+            return False
+        if self._rows is None or other._rows is None:
+            return self.basis == other.basis
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.ambient_dim, self.basis)))
+            key = self._rows if self._rows is not None else self._basis
+            object.__setattr__(self, "_hash", hash((self.ambient_dim, key)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -850,23 +1007,28 @@ def _sum_and_intersection(u: Subspace, w: Subspace) -> Tuple[Subspace, Subspace]
     if u.ambient_dim != w.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = u.ambient_dim
-    z = Fraction(0)
-    block: List[List[Scalar]] = []
-    for b in u.basis:
-        block.append(list(b) + list(b))
-    for b in w.basis:
-        block.append(list(b) + [z] * n)
-    reduced, pivots = rref(block)
-    # ``reduced`` is in RREF, so each row is zero left of its pivot and every
-    # pivot column is zero outside its row.  The rows with a pivot in the
-    # left half come first; their left halves are in RREF and span the
-    # projection of the block's row space, u + w.  The other rows have zero
-    # left halves, and their right halves are in RREF and span u ∩ w.  Both
-    # halves are therefore already the canonical bases.
+    # Eliminate the block rows (b | b) for b in u and (b | 0) for b in w.
+    # Each resulting row is its RREF row times a nonzero scalar, so it is
+    # zero left of its pivot and every pivot column is zero outside its row.
+    # The rows with a pivot in the left half come first; their left halves
+    # are RREF rows up to scale and span the projection of the block's row
+    # space, u + w.  The other rows have zero left halves, and their right
+    # halves are RREF rows up to scale spanning u ∩ w.
+    if u._rows is not None and w._rows is not None:
+        block = [list(b) * 2 for b in u._rows] + [list(b) + [0] * n for b in w._rows]
+        pivots = _eliminate(block, above=True)
+        k = sum(1 for p in pivots if p < n)
+        left = tuple(_primitive(row[:n], p) for row, p in zip(block, pivots[:k]))
+        right = tuple(_primitive(row[n:], p - n) for row, p in zip(block[k:], pivots[k:]))
+        return (
+            Subspace._make(n, (left, tuple(pivots[:k]), None)),
+            Subspace._make(n, (right, tuple(p - n for p in pivots[k:]), None)),
+        )
+    reduced, pivots = rref([list(b) * 2 for b in u.basis] + [list(b) + [_ZERO] * n for b in w.basis])
     k = sum(1 for p in pivots if p < n)
     return (
-        Subspace._canonical(n, tuple(tuple(row[:n]) for row in reduced[:k]), tuple(pivots[:k])),
-        Subspace._canonical(n, tuple(tuple(row[n:]) for row in reduced[k:]), tuple(p - n for p in pivots[k:])),
+        Subspace._make(n, _field_span([row[:n] for row in reduced[:k]], pivots[:k])),
+        Subspace._make(n, _field_span([row[n:] for row in reduced[k:]], [p - n for p in pivots[k:]])),
     )
 
 
@@ -886,6 +1048,9 @@ def intersection_of(spaces: Sequence[Subspace], ambient_dim: int) -> Subspace:
 
 def kernel_of(m: Matrix) -> Subspace:
     """Exact null space of ``m`` (solutions of ``m v = 0``)."""
+    if m._integer_form() is not None:
+        # the preimage of zero, by integer rows
+        return Subspace.zero(m.rows).preimage_under(m)
     reduced, pivots = rref(m.entries)
     pivot_set = set(pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]
@@ -902,7 +1067,14 @@ def kernel_of(m: Matrix) -> Subspace:
 
 def image_of(m: Matrix) -> Subspace:
     """Column space of ``m``."""
-    return Subspace(m.rows, [m.column(j) for j in range(m.cols)])
+    form = m._integer_form()
+    if form is None:
+        return Subspace.full(m.cols).image_under(m)
+    cols = [[0] * m.rows for _ in range(m.cols)]
+    for i, srow in enumerate(form[1]):
+        for j, a in srow:
+            cols[j][i] = a
+    return Subspace._make(m.rows, _int_span(cols))
 
 
 class QuotientPresentation(Immutable):
@@ -923,23 +1095,32 @@ class QuotientPresentation(Immutable):
     True
     """
 
-    __slots__ = ("sub", "den", "reps", "ambient_dim", "_complement")
+    __slots__ = ("sub", "den", "ambient_dim", "_complement")
 
     def __init__(self, sub: Subspace, den: Subspace) -> None:
         if sub.ambient_dim != den.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         if not sub.contains(den):
             raise ValueError("denominator is not contained in the numerator")
-        complement = Subspace(sub.ambient_dim, [den.reduce_vector(b) for b in sub.basis])
+        n = sub.ambient_dim
+        if sub._rows is not None and den._rows is not None:
+            # each residue's scale leaves its line, and so the span, unchanged
+            complement = Subspace._make(n, _int_span([den._residue(x)[0] for x in sub._rows]))
+        else:
+            complement = Subspace(n, [den.reduce_vector(b) for b in sub.basis])
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "reps", complement.basis)
-        object.__setattr__(self, "ambient_dim", sub.ambient_dim)
+        object.__setattr__(self, "ambient_dim", n)
         object.__setattr__(self, "_complement", complement)
 
     @property
+    def reps(self) -> Tuple[Vector, ...]:
+        """The coset representatives: the complement's RREF basis."""
+        return self._complement.basis
+
+    @property
     def dim(self) -> int:
-        return len(self.reps)
+        return self._complement.dim
 
     def reduce(self, v: Sequence[ScalarLike]) -> Tuple[Scalar, ...]:
         """Coordinates of ``v + den`` in the representative basis."""

@@ -307,10 +307,11 @@ def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyR
             lifts = [piece.lift(b) for b in wval.basis]
             pre[(k, ell)] = below.sum(Subspace.span(lifts, d))
 
-    def forced_dim(k: int, ell: int) -> int:
-        return sum(graded_weights[kk].value_at(ell).dim for kk in jumps if kk <= k)
-
-    totals = {ell: forced_dim(jumps[-1], ell) for ell in range(lo - 1, hi + 1)}
+    forced = {
+        (k, ell): sum(graded_weights[kk].value_at(ell).dim for kk in jumps if kk <= k)
+        for k in jumps
+        for ell in range(lo, hi)
+    }
 
     ub: Dict[int, Subspace] = {}
     lb: Dict[int, Subspace] = {}
@@ -333,73 +334,22 @@ def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyR
             False, None, NonexistenceCertificate(level, kind, at_jump, msg)
         )
 
-    def state_signature() -> Tuple[int, ...]:
-        return tuple(ub[e].dim for e in sorted(ub)) + tuple(
-            lb[e].dim for e in sorted(lb)
-        )
-
-    while True:
-        before = state_signature()
-        for ell in range(hi - 1, lo - 1, -1):
-            ub[ell] = ub[ell].intersect(ub[ell + 1]).intersect(ub[ell - 2].preimage_under(op.matrix))
-        for ell in range(lo, hi):
-            lb[ell] = lb[ell].sum(lb[ell - 1]).sum(lb[ell + 2].image_under(op.matrix))
-        for ell in range(lo, hi):
-            for k in jumps:
-                cap = ub[ell].intersect(lfilt.value_at(k)).intersect(pre[(k, ell)])
-                need = forced_dim(k, ell)
-                if cap.dim < need:
-                    return refute(
-                        ell,
-                        "dimension-shortfall",
-                        k,
-                        f"room inside L at jump {k}, level {ell} is {cap.dim} < forced {need}",
-                    )
-                if cap.dim == need:
-                    lb[ell] = lb[ell].sum(cap)
-        for ell in range(lo, hi):
-            if not ub[ell].contains(lb[ell]):
-                return refute(ell, "containment", None, f"forced vectors escape the upper bound at level {ell}")
-            if lb[ell].dim > totals[ell]:
-                return refute(
-                    ell,
-                    "dimension-overflow",
-                    None,
-                    f"forced lower bound has dimension {lb[ell].dim} > forced total {totals[ell]}",
-                )
-            if ub[ell].dim < totals[ell]:
-                return refute(
-                    ell,
-                    "dimension-shortfall",
-                    None,
-                    f"upper bound has dimension {ub[ell].dim} < forced total {totals[ell]}",
-                )
-            for k in jumps:
-                got = lb[ell].intersect(lfilt.value_at(k)).dim
-                if got > forced_dim(k, ell):
-                    return refute(
-                        ell,
-                        "dimension-overflow",
-                        k,
-                        f"forced vectors inside L at jump {k}, level {ell}: {got} > {forced_dim(k, ell)}",
-                    )
-        if state_signature() == before:
-            break
+    certificate = _squeeze(op.matrix, lfilt, pre, forced, lb, ub, lo, hi)
+    if certificate is not None:
+        return RelativeMonodromyResult(False, None, certificate)
 
     pinned = all(lb[ell] == ub[ell] for ell in range(lo, hi))
-    completed = False
     values: Dict[int, Subspace] = {}
     if pinned:
         for ell in range(lo, hi):
             values[ell] = lb[ell]
     else:
-        completed = True
         prev = zero
         for ell in range(lo, hi):
             base = lb[ell].sum(prev)
-            if base.dim > totals[ell]:
+            target = forced[(top_jump, ell)]
+            if base.dim > target:
                 return refute(ell, "dimension-overflow", None, "completion forced too many vectors")
-            target = totals[ell]
             room = ub[ell]
             cand = base
             if cand.dim < target:
@@ -422,6 +372,82 @@ def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyR
         "canonical completion fails certification: "
         + failure[1]
     )
+
+
+def _squeeze(
+    matrix: Matrix,
+    lfilt: Filtration,
+    pre: Dict[Tuple[int, int], Subspace],
+    forced: Dict[Tuple[int, int], int],
+    lb: Dict[int, Subspace],
+    ub: Dict[int, Subspace],
+    lo: int,
+    hi: int,
+) -> Optional[NonexistenceCertificate]:
+    """Refine the bounds ``lb[l] <= M_l <= ub[l]`` of `relative_monodromy`
+    in place to a fixpoint; a certificate if a necessary condition fails.
+
+    ``pre[(k, l)]`` is ``L_{k-1}`` plus the lift of the forced graded value
+    at jump ``k``, ``forced[(k, l)]`` the forced dimension of ``M_l ∩ L_k``.
+    ``lb`` and ``ub`` hold the levels ``lo - 2 .. hi + 1``; only
+    ``lo .. hi - 1`` are refined.
+    """
+    jumps = lfilt.jumps()
+    top = jumps[-1]
+
+    def state_signature() -> Tuple[int, ...]:
+        return tuple(ub[e].dim for e in sorted(ub)) + tuple(lb[e].dim for e in sorted(lb))
+
+    while True:
+        before = state_signature()
+        for ell in range(hi - 1, lo - 1, -1):
+            ub[ell] = ub[ell].intersect(ub[ell + 1]).intersect(ub[ell - 2].preimage_under(matrix))
+        for ell in range(lo, hi):
+            lb[ell] = lb[ell].sum(lb[ell - 1]).sum(lb[ell + 2].image_under(matrix))
+        for ell in range(lo, hi):
+            for k in jumps:
+                cap = ub[ell].intersect(lfilt.value_at(k)).intersect(pre[(k, ell)])
+                need = forced[(k, ell)]
+                if cap.dim < need:
+                    return NonexistenceCertificate(
+                        ell,
+                        "dimension-shortfall",
+                        k,
+                        f"room inside L at jump {k}, level {ell} is {cap.dim} < forced {need}",
+                    )
+                if cap.dim == need:
+                    lb[ell] = lb[ell].sum(cap)
+        for ell in range(lo, hi):
+            total = forced[(top, ell)]
+            if not ub[ell].contains(lb[ell]):
+                return NonexistenceCertificate(
+                    ell, "containment", None, f"forced vectors escape the upper bound at level {ell}"
+                )
+            if lb[ell].dim > total:
+                return NonexistenceCertificate(
+                    ell,
+                    "dimension-overflow",
+                    None,
+                    f"forced lower bound has dimension {lb[ell].dim} > forced total {total}",
+                )
+            if ub[ell].dim < total:
+                return NonexistenceCertificate(
+                    ell,
+                    "dimension-shortfall",
+                    None,
+                    f"upper bound has dimension {ub[ell].dim} < forced total {total}",
+                )
+            for k in jumps:
+                got = lb[ell].intersect(lfilt.value_at(k)).dim
+                if got > forced[(k, ell)]:
+                    return NonexistenceCertificate(
+                        ell,
+                        "dimension-overflow",
+                        k,
+                        f"forced vectors inside L at jump {k}, level {ell}: {got} > {forced[(k, ell)]}",
+                    )
+        if state_signature() == before:
+            return None
 
 
 def _relative_axiom_failure(

@@ -230,6 +230,10 @@ class KoszulComplexData:
             tgt_off = {S: (d, off) for S, d, off in tgt_row}
             total_src = self.component_dims[t]
             total_tgt = self.component_dims[t - 1]
+            if not total_src or not total_tgt:
+                # no columns or no rows: the zero map, of rank 0 by shape
+                diffs.append(Matrix.zero(total_tgt, total_src))
+                continue
             grid: List[List[Fraction]] = [
                 [Fraction(0)] * total_src for _ in range(total_tgt)
             ]

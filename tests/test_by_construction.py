@@ -7,17 +7,21 @@ saturated and builds each piece from the one before it on its axis, the
 subquotient row test, the Rees injectivity step and weight axiom two
 compare dimensions only (the induced-matrix references are in
 test_filtration.py, test_rees.py and test_monodromy.py),
-`KoszulComplexData` does not multiply its differentials, graded
+`KoszulComplexData` does not multiply its differentials and gives a
+differential with no rows or no columns rank 0 without ranking it, graded
 bilinear structures and monodromic modules keep the nilpotent operators
 they certify instead of rebuilding them, and `Matrix` arithmetic builds
 its results from entries that are already exact scalars without coercing
 them again, and `QuotientPresentation.reduce`, `induced_matrix` and
 `Subspace.coordinates_of` read coordinates at pivots without solving a
-linear system.  Each test here recomputes what is no longer checked at
-run time.
+linear system; rational `Subspace` lattice operations work on integer
+rows without building a `Fraction`.  Each test here recomputes what is no
+longer checked at run time.
 """
 
+import fractions
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -27,7 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightfilt import exact
-from weightfilt.exact import Matrix, QuotientPresentation, Subspace, _sum_and_intersection
+from weightfilt.exact import Matrix, QuotientPresentation, Subspace, _sum_and_intersection, kernel_of
 from weightfilt.filtration import Filtration, MultiFiltration, _subobject_compatibility_cached
 from weightfilt.fixtures import fixture_Vk, fixture_tensor_jordan
 from weightfilt.lefschetz import merge_slots
@@ -40,7 +44,7 @@ from weightfilt.monodromy import (
 from weightfilt.nearby import MonodromicModule
 from weightfilt.rees import KoszulComplexData, ReesModule, is_flat, rees_of
 
-from strategies import multifiltrations, nilpotent_matrices, random_filtration, subspaces
+from strategies import multifiltrations, nilpotent_matrices, random_filtration, small_fractions, subspaces
 
 
 def _assert_canonical(s):
@@ -89,6 +93,31 @@ def test_koszul_differentials_square_to_zero(mf):
                 d = KoszulComplexData(rees, seq, p).differentials
                 for t in range(1, len(d)):
                     assert (d[t - 1] * d[t]).is_zero()
+
+
+@given(mf=multifiltrations())
+@settings(max_examples=25, deadline=None)
+def test_koszul_differentials_empty_by_shape_are_not_ranked(mf):
+    # a differential with no rows or no columns is the zero map of rank 0;
+    # homology ranks only the others
+    rees = rees_of(mf)
+    rank_of_rows = exact.rank_of_rows
+    ranked = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "rank_of_rows", lambda rows: ranked.append(rows) or rank_of_rows(rows))
+        for seq in combinations(range(rees.nvars), min(2, rees.nvars)):
+            for p in rees.interesting_points():
+                data = KoszulComplexData(rees, seq, p)
+                dims, diffs = data.component_dims, data.differentials
+                ranks = [rank_of_rows(d.entries) for d in diffs]
+                for t, d in enumerate(diffs, start=1):
+                    assert (d.rows, d.cols) == (dims[t - 1], dims[t])
+                    if not (d.rows and d.cols):
+                        assert d == Matrix([[0] * d.cols] * d.rows, d.rows, d.cols)
+                ranked.clear()
+                bounds = [0] + ranks + [0]
+                assert data.homology() == {-t: dims[t] - bounds[t] - bounds[t + 1] for t in range(len(dims))}
+                assert len(ranked) == sum(1 for d in diffs if d.rows and d.cols)
 
 
 def _seeded_mf():
@@ -214,6 +243,46 @@ def test_subquotient_coordinates_are_read_at_pivots(monkeypatch):
     assert q.induced_matrix(Matrix.identity(4), q) == Matrix.identity(2)
     assert sub.coordinates_of((1, 3, 1, 1)) is not None
     assert sub.coordinates_of((0, 0, 0, 1)) is None
+
+
+def _fraction_work(fn):
+    """Names of the `fractions` functions (other than the numerator and
+    denominator reads) and of ``exact._integer_rows`` called while ``fn``
+    runs."""
+    seen = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and (
+            code is exact._integer_rows.__code__
+            or (code.co_filename == fractions.__file__ and code.co_name not in ("numerator", "denominator"))
+        ):
+            seen.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+@given(data=st.data(), n=st.integers(min_value=1, max_value=4), cols=st.integers(min_value=0, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_rational_lattice_operations_build_no_fraction(data, n, cols):
+    # rational subspaces keep integer rows, so the lattice operations never
+    # rescale Fractions or build one; drawing the inputs may do either
+    u, w = data.draw(subspaces(n)), data.draw(subspaces(n))
+    m = Matrix(data.draw(st.lists(st.lists(small_fractions, min_size=cols, max_size=cols), min_size=n, max_size=n)), n, cols)
+    back = m.transpose()
+    _sum_and_intersection.cache_clear()
+    assert _fraction_work(lambda: (u.sum(w), u.intersect(w), u.contains(w), w.contains(u))) == []
+    assert _fraction_work(lambda: (u.preimage_under(m), kernel_of(m), kernel_of(back))) == []
+    source = u.preimage_under(m)
+    assert _fraction_work(lambda: source.image_under(m)) == []
+    assert _fraction_work(lambda: (source.image_under(m).intersect(u), hash(source))) == []
+    total = u.sum(w)
+    assert _fraction_work(lambda: QuotientPresentation(total, w)) == []
 
 
 def _assert_nilpotents_match(structure):

@@ -136,6 +136,15 @@ class TestExitCodes:
         assert "exceeds the limit 64" in res.stderr
 
 
+    def test_oversized_family_is_two(self, runner, tmp_path):
+        family = {"ambient_dim": 1, "steps": [{"index": "0", "basis": [["1"]]}]}
+        doc = {"format": "weightfilt.v1", "task": "check-compat", "payload": {"filtrations": [family] * 9}}
+        p = tmp_path / "family.json"
+        p.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["check", "compat", "--input", str(p)])
+        assert res.exit_code == 2
+        assert "input error: $.payload.filtrations: 9 filtrations exceed the limit 8" in res.stderr
+
 class TestStdin:
     def test_dash_reads_stdin(self, runner):
         text = (GOLDEN / "doc_monodromy_pass.json").read_text()

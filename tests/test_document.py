@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from weightfilt.document import (
     FORMAT_TAG,
+    MAX_FAMILY_SIZE,
     Document,
     DocumentError,
     KNOWN_TASKS,
@@ -267,6 +268,27 @@ class TestRunTask:
     @pytest.mark.parametrize("name", ["V63", "tensor-8-8", "tensor-4-4-4", "nilsson-64-0"])
     def test_fixtures_at_the_limit_are_built(self, name):
         assert run_task(Document("fixture-info", {"name": name}))["verdict"] is True
+
+    @staticmethod
+    def _family(task, count):
+        payload = {"filtrations": [filtration_to_json(Filtration.trivial(1))] * count}
+        if task == "koszul-homology":
+            payload.update(sequence=[0, 1], multidegree=[0] * count)
+        return Document(task, payload)
+
+    @pytest.mark.parametrize("task", ["rees-summary", "koszul-homology"])
+    def test_family_at_the_limit_is_run(self, task):
+        assert run_task(self._family(task, MAX_FAMILY_SIZE))["verdict"] is True
+
+    @pytest.mark.parametrize("task", ["check-compat", "koszul-homology", "rees-summary"])
+    def test_family_above_the_limit_is_refused_before_building(self, monkeypatch, task):
+        def refuse(*args):
+            raise AssertionError("parsed a filtration of an oversized family")
+
+        monkeypatch.setattr(document, "filtration_from_json", refuse)
+        with pytest.raises(DocumentError, match=f"{MAX_FAMILY_SIZE + 1} filtrations exceed the limit") as err:
+            run_task(self._family(task, MAX_FAMILY_SIZE + 1))
+        assert err.value.path == "$.payload.filtrations"
 
     def test_undetermined_relative_filtration_is_an_input_error(self):
         with pytest.raises(DocumentError, match="undetermined") as err:

@@ -24,6 +24,17 @@ from weightfilt.exact import (
     solve_columns,
 )
 
+from references import (
+    as_exact,
+    reference_apply,
+    reference_image,
+    reference_kernel,
+    reference_preimage,
+    reference_reduce,
+    reference_rref,
+    reference_span,
+    reference_zassenhaus,
+)
 from strategies import (
     gaussian_scalars,
     matrices,
@@ -144,33 +155,6 @@ class TestRankAndSolve:
         assert all(type(x) is Fraction for x in y)
 
 
-def _reference_rref(rows):
-    """Gauss–Jordan on `Fraction`s (ints coerced), the field loop `rref`
-    ran on every input before its integer kernel."""
-    work = [[x if isinstance(x, GaussianRational) else Fraction(x) for x in r] for r in rows]
-    if not work:
-        return [], []
-    pivots = []
-    r = 0
-    for c in range(len(work[0])):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = work[r][c]
-        if inv != 1:
-            work[r] = [x / inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
-
-
 _rational_entries = st.one_of(
     st.integers(min_value=-6, max_value=6),
     st.fractions(min_value=-4, max_value=4, max_denominator=6),
@@ -205,7 +189,7 @@ class TestIntegerKernel:
     @example([[], []])
     @settings(max_examples=300, deadline=None)
     def test_rref_matches_fraction_reference(self, rows):
-        expected = _reference_rref(rows)
+        expected = reference_rref(rows)
         reduced, pivots = rref(rows)
         assert (reduced, pivots) == expected
         assert all(type(x) is Fraction for row in reduced for x in row)
@@ -214,15 +198,11 @@ class TestIntegerKernel:
     @given(_row_blocks(st.one_of(_rational_entries, gaussian_scalars())))
     @settings(max_examples=100, deadline=None)
     def test_gaussian_rows_match_reference(self, rows):
-        expected = _reference_rref(rows)
+        expected = reference_rref(rows)
         reduced, pivots = rref(rows)
         assert (reduced, pivots) == expected
         assert all(isinstance(x, (Fraction, GaussianRational)) for row in reduced for x in row)
         assert rank_of_rows(rows) == len(expected[0])
-
-
-def _exact(x):
-    return x if isinstance(x, GaussianRational) else Fraction(x)
 
 
 def _reference_mul(a, b):
@@ -236,17 +216,12 @@ def _reference_mul(a, b):
     )
 
 
-def _reference_apply(m, v):
-    vec = tuple(_exact(x) for x in v)
-    return tuple(sum((a * b for a, b in zip(row, vec) if a and b), Fraction(0)) for row in m.entries)
-
-
 def _reference_add(a, b):
     return Matrix([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.entries, b.entries)], a.rows, a.cols)
 
 
 def _reference_scale(a, s):
-    s = _exact(s)
+    s = as_exact(s)
     return Matrix([[x * s for x in row] for row in a.entries], a.rows, a.cols)
 
 
@@ -357,7 +332,7 @@ class TestIntegerArithmetic:
         m = m[0]
         kind = _ENTRY_KINDS[data.draw(_entry_kinds)]
         v = data.draw(st.lists(kind, min_size=m.cols, max_size=m.cols))
-        got, want = m.apply(v), _reference_apply(m, v)
+        got, want = m.apply(v), reference_apply(m, v)
         assert got == want
         assert [type(x) for x in got] == [type(x) for x in want]
 
@@ -516,7 +491,7 @@ class _ReferencePresentation:
 
 def _reference_coordinates(s, v):
     """`Subspace.coordinates_of` before the pivot read: one solve."""
-    return solve_columns(list(s.basis), tuple(_exact(x) for x in v))
+    return solve_columns(list(s.basis), tuple(as_exact(x) for x in v))
 
 
 _PAIR_KINDS = {kind: _ENTRY_KINDS[kind] for kind in ("rational", "gaussian")}
@@ -571,7 +546,7 @@ def _subquotient_examples(test):
 def _combination(coeffs, vectors, n):
     out = [Fraction(0)] * n
     for c, v in zip(coeffs, vectors):
-        out = [a + _exact(c) * b for a, b in zip(out, v)]
+        out = [a + as_exact(c) * b for a, b in zip(out, v)]
     return tuple(out)
 
 
@@ -597,7 +572,7 @@ class TestQuotientComplement:
         assert all(rep[p] == 0 for rep in q.reps for p in den._pivots)
         # reduce and lift are inverse modulo the denominator
         for c in case.coords:
-            assert q.reduce(q.lift(c)) == tuple(_exact(x) for x in c)
+            assert q.reduce(q.lift(c)) == tuple(as_exact(x) for x in c)
         for v in _members(case):
             assert den.contains_vector([a - b for a, b in zip(q.lift(q.reduce(v)), v)])
         # non-members raise, as they did
@@ -652,3 +627,85 @@ class TestPositivity:
     def test_rejects_asymmetric_input(self):
         with pytest.raises(ValueError):
             is_positive_definite(Matrix([[1, 2], [0, 1]]))
+
+
+def _stored(s):
+    return s.basis, s._pivots
+
+
+@st.composite
+def _span_rows(draw, width, entries=_rational_entries):
+    """Rows of one width spanning a random, the zero or the full space."""
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=4))
+    kind = draw(st.sampled_from(["random", "zero", "full"]))
+    if kind == "zero":
+        return draw(st.lists(st.just([0] * width), max_size=2))
+    if kind == "full":
+        rows += [[int(i == j) for j in range(width)] for i in range(width)]
+    return draw(st.permutations(rows))
+
+
+_gaussian_entries = st.one_of(_rational_entries, gaussian_scalars())
+
+
+@st.composite
+def _span_pair(draw):
+    """Two row lists of one width, each rational or Gaussian."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    kinds = [_rational_entries, _gaussian_entries]
+    return n, draw(_span_rows(n, draw(st.sampled_from(kinds)))), draw(_span_rows(n, draw(st.sampled_from(kinds))))
+
+
+class TestIntegerSubspace:
+    """Integer `Subspace` rows against the Fraction reference loops."""
+
+    @given(_span_pair())
+    @example((2, [[Fraction(1, 10**12), 1]], [[1, 0]]))
+    @example((3, [], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    @example((0, [], []))
+    @settings(max_examples=200, deadline=None)
+    def test_span_and_lattice_match_reference(self, case):
+        n, a, b = case
+        u, w = Subspace(n, a), Subspace(n, b)
+        ru, rw = reference_span(a), reference_span(b)
+        assert _stored(u) == ru and _stored(w) == rw
+        rsum, rcap = reference_zassenhaus(ru, rw, n)
+        assert _stored(u.sum(w)) == rsum
+        assert _stored(u.intersect(w)) == rcap
+        assert u.contains(w) == (len(rsum[0]) == len(ru[0]))
+        assert w.contains(u) == (len(rsum[0]) == len(rw[0]))
+        for v in list(a) + list(b):
+            got = u.reduce_vector(v)
+            assert got == reference_reduce(ru, v)
+            assert all(isinstance(x, (Fraction, GaussianRational)) for x in got)
+            assert u.contains_vector(v) == (not any(got))
+
+    @given(st.data(), st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    def test_images_preimages_and_kernels_match_reference(self, data, r, c):
+        m = data.draw(_matrix_of(r, c))
+        source = data.draw(_span_rows(c, data.draw(st.sampled_from([_rational_entries, _gaussian_entries]))))
+        target = data.draw(_span_rows(r, data.draw(st.sampled_from([_rational_entries, _gaussian_entries]))))
+        assert _stored(kernel_of(m)) == reference_kernel(m.entries, c)
+        assert _stored(image_of(m)) == reference_span([m.column(j) for j in range(c)])
+        s, t = Subspace(c, source), Subspace(r, target)
+        assert _stored(s.image_under(m)) == reference_image(reference_span(source), m)
+        assert _stored(t.preimage_under(m)) == reference_preimage(reference_span(target), m)
+
+    def test_gaussian_span_with_real_rref_is_the_rational_span(self):
+        # the span of (i, i) is the span of (1, 1): same subspace, same hash
+        gaussian = Subspace.span([(I, I)], 2)
+        rational = Subspace.span([(1, 1)], 2)
+        assert gaussian == rational and hash(gaussian) == hash(rational)
+        assert gaussian.basis == ((Fraction(1), Fraction(1)),)
+        assert gaussian._rows == rational._rows == ((1, 1),)
+        line = Subspace.span([(1, I)], 2)
+        assert line != Subspace.span([(1, 1)], 2) and line._rows is None
+        # a Gaussian intersection that is real meets the rational cache keys
+        assert line.sum(Subspace.span([(1, -I)], 2)) == Subspace.full(2)
+        assert hash(line.sum(Subspace.span([(1, -I)], 2))) == hash(Subspace.full(2))
+
+    def test_rows_are_primitive_with_positive_pivots(self):
+        s = Subspace.span([(Fraction(-2, 3), Fraction(4, 9), 0), (0, 0, Fraction(-5, 7))], 3)
+        assert s._rows == ((3, -2, 0), (0, 0, 1))
+        assert s.basis == ((Fraction(1), Fraction(-2, 3), Fraction(0)), (Fraction(0), Fraction(0), Fraction(1)))

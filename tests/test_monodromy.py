@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weightfilt import monodromy
 from weightfilt.exact import Matrix, Subspace, image_of
 from weightfilt.filtration import Filtration
 from weightfilt.monodromy import (
@@ -28,6 +29,7 @@ from weightfilt.monodromy import (
 )
 from weightfilt.fixtures import fixture_tensor_jordan
 
+from references import reference_image, reference_preimage, reference_zassenhaus
 from strategies import (
     block_diagonal,
     nilpotent_matrices,
@@ -282,6 +284,109 @@ class TestRelativeMonodromy:
         )
         with pytest.raises(ValueError):
             relative_monodromy(JORDAN_2, bottom)
+
+
+def _span(s):
+    return s.basis, s._pivots
+
+
+def _reference_squeeze(matrix, lfilt, pre, forced, lb, ub, lo, hi):
+    """The bound sweeps of `monodromy._squeeze` on the Fraction reference
+    lattice operations: the refutation as (kind, level, jump), or None, and
+    the final bounds as spans."""
+    n = lfilt.ambient_dim
+    jumps = lfilt.jumps()
+    values = {k: _span(lfilt.value_at(k)) for k in jumps}
+    pre = {key: _span(s) for key, s in pre.items()}
+    lb = {ell: _span(s) for ell, s in lb.items()}
+    ub = {ell: _span(s) for ell, s in ub.items()}
+
+    def plus(a, b):
+        return reference_zassenhaus(a, b, n)[0]
+
+    def cap(a, b):
+        return reference_zassenhaus(a, b, n)[1]
+
+    def dim(a):
+        return len(a[1])
+
+    def outcome(refutation):
+        return refutation, lb, ub
+
+    while True:
+        before = (dict(lb), dict(ub))
+        for ell in range(hi - 1, lo - 1, -1):
+            ub[ell] = cap(cap(ub[ell], ub[ell + 1]), reference_preimage(ub[ell - 2], matrix))
+        for ell in range(lo, hi):
+            lb[ell] = plus(plus(lb[ell], lb[ell - 1]), reference_image(lb[ell + 2], matrix))
+        for ell in range(lo, hi):
+            for k in jumps:
+                room = cap(cap(ub[ell], values[k]), pre[(k, ell)])
+                if dim(room) < forced[(k, ell)]:
+                    return outcome(("dimension-shortfall", ell, k))
+                if dim(room) == forced[(k, ell)]:
+                    lb[ell] = plus(lb[ell], room)
+        for ell in range(lo, hi):
+            total = forced[(jumps[-1], ell)]
+            if dim(plus(ub[ell], lb[ell])) > dim(ub[ell]):
+                return outcome(("containment", ell, None))
+            if dim(lb[ell]) > total:
+                return outcome(("dimension-overflow", ell, None))
+            if dim(ub[ell]) < total:
+                return outcome(("dimension-shortfall", ell, None))
+            for k in jumps:
+                if dim(cap(lb[ell], values[k])) > forced[(k, ell)]:
+                    return outcome(("dimension-overflow", ell, k))
+        if (lb, ub) == before:
+            return outcome(None)
+
+
+def _relative_corpus(rng):
+    """Seeded (operator, filtration) pairs: absolute weight filtrations of
+    the operator itself and of commuting partners, recentred."""
+    for _ in range(12):
+        dim = rng.randint(2, 5)
+        n = random_nilpotent(rng, dim)
+        yield n, monodromy_filtration(n, center=rng.randint(-1, 1))
+        yield n, monodromy_filtration(n * n, center=rng.randint(-1, 1))
+        partner = rng.randint(-2, 2) * n + rng.randint(-1, 1) * (n * n)
+        yield partner, monodromy_filtration(n, center=rng.randint(-1, 1))
+    for sizes in ((2, 2), (2, 3), (2, 2, 2)):
+        fx = fixture_tensor_jordan(sizes)
+        g = random_unimodular(rng, fx.dim)
+        ops = [g * op * g.inverse() for op in fx.operators()]
+        yield ops[0], monodromy_filtration(sum(ops[1:], Matrix.zero(fx.dim, fx.dim)))
+        yield ops[0] - ops[1], monodromy_filtration(ops[1], center=1)
+
+
+def test_bound_propagation_matches_reference(monkeypatch):
+    # Every fixpoint the search reaches equals the one the reference sweeps
+    # reach, level by level, so a propagation step that loses strength (or a
+    # lattice operation that errs) shows up as a different bound even when
+    # the final verdict would survive it.
+    squeeze = monodromy._squeeze
+    split = {"pinned": 0, "open": 0, "refuted": 0}
+
+    def checked(matrix, lfilt, pre, forced, lb, ub, lo, hi):
+        refutation, want_lb, want_ub = _reference_squeeze(matrix, lfilt, pre, forced, lb, ub, lo, hi)
+        certificate = squeeze(matrix, lfilt, pre, forced, lb, ub, lo, hi)
+        got = None if certificate is None else (certificate.kind, certificate.level, certificate.at_jump)
+        assert got == refutation
+        if certificate is None:
+            assert {ell: _span(s) for ell, s in lb.items()} == want_lb
+            assert {ell: _span(s) for ell, s in ub.items()} == want_ub
+            split["pinned" if all(lb[e] == ub[e] for e in range(lo, hi)) else "open"] += 1
+        else:
+            split["refuted"] += 1
+        return certificate
+
+    monkeypatch.setattr(monodromy, "_squeeze", checked)
+    for n, lfilt in _relative_corpus(random.Random(2024)):
+        try:
+            relative_monodromy(n, lfilt)
+        except UndeterminedRelativeFiltration:
+            pass
+    assert all(split.values()), split
 
 
 class TestIteratedWeights:

@@ -332,6 +332,14 @@ class SubobjectCompatibility(Immutable):
         return f"SubobjectCompatibility(witness={self.witness})"
 
 
+@lru_cache(maxsize=16)
+def _cell_points(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The points of ``{-1, 0, +1}^n``, built once per n so that the cached
+    reports share their ``cell_dims`` keys instead of each holding 3^n
+    tuples of its own."""
+    return tuple(product((-1, 0, 1), repeat=n))
+
+
 @lru_cache(maxsize=1 << 14)
 def _subobject_compatibility_cached(
     subspaces: Tuple[Subspace, ...], ambient_dim: int
@@ -346,7 +354,7 @@ def _subobject_compatibility_cached(
             inter[frozenset(combo)] = inter[base].intersect(subspaces[combo[-1]])
 
     dims: Dict[Tuple[int, ...], int] = {}
-    for point in product((-1, 0, 1), repeat=n):
+    for point in _cell_points(n):
         neg = frozenset(i for i, k in enumerate(point) if k == -1)
         den = sum_of([inter[neg | {j}] for j, k in enumerate(point) if k == 1], ambient_dim)
         dims[point] = inter[neg].dim - den.dim

@@ -1,15 +1,18 @@
-"""Fraction reference loops for the exact kernel.
+"""Reference loops for the exact kernel and the Rees regularity routes.
 
-Each function here is the `Fraction` (or Gaussian) field loop that the
-library ran before its integer kernels, kept so that differential tests
-can compare the fast paths with it.  A span is represented as the pair
-``(rref rows, pivots)``, both tuples, which is what ``Subspace.basis`` and
-``Subspace._pivots`` give.
+Each exact-kernel function here is the `Fraction` (or Gaussian) field loop
+that the library ran before its integer kernels, kept so that differential
+tests can compare the fast paths with it.  A span is represented as the
+pair ``(rref rows, pivots)``, both tuples, which is what
+``Subspace.basis`` and ``Subspace._pivots`` give.  The Rees functions are
+the loops that visited every interesting point and every permutation.
 """
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
-from weightfilt.exact import GaussianRational
+from weightfilt.exact import GaussianRational, image_of, sum_of
+from weightfilt.rees import FlatnessCertificate, is_regular_sequence, koszul_homology
 
 
 def as_exact(x):
@@ -98,3 +101,54 @@ def reference_preimage(span, m):
     """Reduce each column of ``m`` against the span, then take the kernel."""
     cols = [reference_reduce(span, m.column(j)) for j in range(m.cols)]
     return reference_kernel([[col[i] for col in cols] for i in range(m.rows)], m.cols)
+
+
+def reference_image_sums(rees, varset):
+    """``W_p`` at every interesting point, summing the image of every
+    variable in ``varset``, zero pieces included."""
+    return {
+        p: sum_of([image_of(rees.map_matrix(p, j)) for j in varset], rees.piece_dim(p))
+        for p in rees.interesting_points()
+    }
+
+
+def reference_koszul_prefix_exact(rees, varset):
+    """The Koszul route at every interesting point."""
+    seq = sorted(varset)
+    for p in rees.interesting_points():
+        hom = koszul_homology(rees, seq, p)
+        if any(hom[d] for d in hom if d < 0):
+            return False
+    return True
+
+
+def reference_is_flat(rees):
+    """Flatness with the permutation route as a loop over all ``n!``
+    orders, each tested by `is_regular_sequence`."""
+    n = rees.nvars
+    perm_fail = None
+    for perm in permutations(range(n)):
+        if not is_regular_sequence(rees, perm).regular:
+            perm_fail = perm
+            break
+
+    subset_fail = None
+    for size in range(1, n + 1):
+        for S in combinations(range(n), size):
+            if not is_regular_sequence(rees, S).regular:
+                subset_fail = S
+                break
+        if subset_fail is not None:
+            break
+
+    perm_ok = perm_fail is None
+    subset_ok = subset_fail is None
+    if perm_ok != subset_ok:
+        raise AssertionError(
+            f"flatness routes disagree: permutations={perm_ok}, subsets={subset_ok}"
+        )
+    if perm_ok:
+        return FlatnessCertificate(True, None, None)
+    if subset_fail is not None:
+        return FlatnessCertificate(False, "subset", subset_fail)
+    return FlatnessCertificate(False, "permutation", perm_fail)

@@ -15,8 +15,9 @@ its results from entries that are already exact scalars without coercing
 them again, and `QuotientPresentation.reduce`, `induced_matrix` and
 `Subspace.coordinates_of` read coordinates at pivots without solving a
 linear system; rational `Subspace` lattice operations work on integer
-rows without building a `Fraction`.  Each test here recomputes what is no
-longer checked at run time.
+rows without building a `Fraction`; the Koszul regularity route ranks no
+complex whose negative-degree components are all zero.  Each test here
+recomputes what is no longer checked at run time.
 """
 
 import fractions
@@ -42,7 +43,8 @@ from weightfilt.monodromy import (
     verify_weight_axioms,
 )
 from weightfilt.nearby import MonodromicModule
-from weightfilt.rees import KoszulComplexData, ReesModule, is_flat, rees_of
+from weightfilt import rees as rees_module
+from weightfilt.rees import KoszulComplexData, ReesModule, _koszul_prefix_exact, is_flat, rees_of
 
 from strategies import multifiltrations, nilpotent_matrices, random_filtration, small_fractions, subspaces
 
@@ -188,6 +190,36 @@ def test_rees_of_intersects_once_per_prefix_point(monkeypatch):
     rees = rees_of(mf)
     sizes = [hi - lo + 1 for lo, hi in rees.box]
     assert len(calls) == sum(prod(sizes[: k + 1]) for k in range(len(sizes)))
+
+
+def test_koszul_route_visits_only_points_with_negative_components(monkeypatch):
+    # elsewhere every negative-degree component is zero, and so is its homology
+    rees = rees_of(_seeded_mf())
+    calls = []
+    homology = rees_module.koszul_homology
+
+    def recording(module, seq, p):
+        calls.append((tuple(seq), p))
+        return homology(module, seq, p)
+
+    monkeypatch.setattr(rees_module, "koszul_homology", recording)
+    visited = 0
+    for size in range(1, rees.nvars + 1):
+        for seq in combinations(range(rees.nvars), size):
+            want = [
+                p
+                for p in rees.interesting_points()
+                if any(
+                    rees.piece_dim(tuple(x - (i in S) for i, x in enumerate(p)))
+                    for t in range(1, size + 1)
+                    for S in combinations(seq, t)
+                )
+            ]
+            calls.clear()
+            assert _koszul_prefix_exact(rees, frozenset(seq))
+            assert calls == [(seq, p) for p in want]
+            visited += len(want)
+    assert visited
 
 
 def test_koszul_complex_multiplies_no_differentials(monkeypatch):

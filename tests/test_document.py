@@ -1,6 +1,7 @@
 """JSON task documents: scalar grammar, round trips, task dispatch."""
 
 import json
+import random
 import pathlib
 from fractions import Fraction
 
@@ -440,3 +441,57 @@ class TestDocumentFuzz:
         payload = {"denominator": denominator, "order": order}
         report = _report_or_input_error("nilsson-demo", payload)
         assert (report is not None) == (1 <= denominator <= MAX_FIXTURE_SIZE and order >= 0)
+
+
+def _lines_family():
+    full = [["1", "0"], ["0", "1"]]
+    return [
+        {"ambient_dim": 2, "steps": [{"index": "0", "basis": [line]}, {"index": "1", "basis": full}]}
+        for line in (["1", "0"], ["0", "1"], ["1", "1"])
+    ]
+
+
+class TestBasisChange:
+    """A change of basis of the ambient space gives the same structured
+    report on every compatibility task: verdicts, witnesses, box and every
+    dimension depend on the family only up to isomorphism.  The report
+    digests of the compat-lattice benchmark stream rely on this."""
+
+    @given(
+        mf=strat.multifiltrations(),
+        seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_conjugated_family_gives_identical_reports(self, mf, seed, data):
+        g = strat.random_unimodular(random.Random(seed), mf.ambient_dim, rounds=4)
+        moved = [
+            Filtration(f.ambient_dim, [(x, s.image_under(g)) for x, s in f.steps]) for f in mf.filtrations
+        ]
+        n = len(mf)
+        extra = {
+            "sequence": data.draw(st.permutations(range(n)).flatmap(lambda p: st.integers(0, n).map(lambda k: p[:k]))),
+            "multidegree": data.draw(st.lists(st.integers(-2, 5), min_size=n, max_size=n)),
+        }
+        self._assert_same_reports([filtration_to_json(f) for f in mf.filtrations], [filtration_to_json(f) for f in moved], extra)
+
+    def test_conjugated_lines_give_identical_reports(self):
+        # the incompatible family, whose check-compat report carries a witness
+        family = _lines_family()
+        mf = [filtration_from_json(f, "$") for f in family]
+        g = strat.random_unimodular(random.Random(7), 2, rounds=4)
+        moved = [filtration_to_json(Filtration(2, [(x, s.image_under(g)) for x, s in f.steps])) for f in mf]
+        assert moved != family
+        reports = self._assert_same_reports(family, moved, {"sequence": [2, 0], "multidegree": [0, 0, 1]})
+        assert "witness" in json.loads(reports["check-compat"])["details"]
+
+    @staticmethod
+    def _assert_same_reports(family, moved, koszul):
+        reports = {}
+        for task in ("check-compat", "koszul-homology", "rees-summary"):
+            extra = koszul if task == "koszul-homology" else {}
+            before = emit_report(run_task(Document(task, dict(extra, filtrations=family))), "structured")
+            after = emit_report(run_task(Document(task, dict(extra, filtrations=moved))), "structured")
+            assert after == before
+            reports[task] = before
+        return reports

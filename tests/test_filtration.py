@@ -218,6 +218,13 @@ class TestSubobjectCompatibility:
         assert report.witness == (failing[0] if failing else None)
         assert report.cell_dims == {p: c.dim for p, c in cells.items()}
 
+    def test_reports_share_their_cell_points(self):
+        # cached reports of families of one size hold one set of 3^n keys
+        one = compatible_subobjects([_line(1, 0), _line(0, 1), _line(1, 1)])
+        two = compatible_subobjects([_line(1, 2), _line(0, 1), _line(1, 0)])
+        assert list(one.cell_dims) == list(product((-1, 0, 1), repeat=3))
+        assert all(p is q for p, q in zip(one.cell_dims, two.cell_dims))
+
 
 class TestFiltrationCompatibility:
     @given(multifiltrations(max_count=2, max_dim=4))

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weightfilt import rees as rees_module
+from weightfilt.document import MAX_FAMILY_SIZE
 from weightfilt.exact import Matrix, QuotientPresentation, Subspace, image_of, sum_of
 from weightfilt.filtration import (
     Filtration,
@@ -24,6 +26,9 @@ from weightfilt.filtration import (
 from weightfilt.rees import (
     KoszulComplexData,
     ReesModule,
+    _first_irregular_permutation,
+    _image_sums,
+    _koszul_prefix_exact,
     _step_injective,
     compatibility_via_flatness,
     is_flat,
@@ -32,6 +37,7 @@ from weightfilt.rees import (
     rees_of,
 )
 
+from references import reference_image_sums, reference_is_flat, reference_koszul_prefix_exact
 from strategies import multifiltrations, random_filtration, random_unimodular, two_step_filtration
 
 
@@ -266,3 +272,130 @@ class TestStepByDimension:
             assert (got.regular, got.failed_prefix) == (want.regular, want.failed_prefix)
         want, got = is_flat(rees), is_flat(hand)
         assert (got.flat, got.witness_kind, got.witness) == (want.flat, want.witness_kind, want.witness)
+
+
+def _non_monotone_module():
+    """A hand-built module whose piece dimensions rise and fall: 1, 2, 0
+    along the bottom row, and a zero map out of a nonzero piece."""
+    one = Matrix([[Fraction(1)]])
+    dims = {(0, 0): 1, (1, 0): 2, (2, 0): 0, (0, 1): 1, (1, 1): 1, (2, 1): 1}
+    maps = {
+        ((1, 0), 0): Matrix([[Fraction(1)], [Fraction(0)]]),
+        ((1, 1), 0): one,
+        ((2, 1), 0): Matrix([[Fraction(0)]]),
+        ((0, 1), 1): one,
+        ((1, 1), 1): Matrix([[Fraction(1), Fraction(0)]]),
+    }
+    return ReesModule(2, [(0, 2), (0, 1)], dims, maps, validate=True)
+
+
+def _nonempty_subsets(n):
+    for size in range(1, n + 1):
+        for varset in combinations(range(n), size):
+            yield frozenset(varset)
+
+
+class TestZeroPiecesSkipped:
+    """Both regularity routes skip zero pieces and agree with the loops
+    that visited every interesting point."""
+
+    @staticmethod
+    def _assert_routes_match_references(module):
+        for varset in _nonempty_subsets(module.nvars):
+            assert _koszul_prefix_exact(module, varset) == reference_koszul_prefix_exact(module, varset)
+        for varset in [frozenset()] + list(_nonempty_subsets(module.nvars)):
+            assert _image_sums(module, varset) == reference_image_sums(module, varset)
+
+    @given(
+        mf=st.one_of(multifiltrations(), st.integers(min_value=0, max_value=10**6).map(_seeded_family)),
+        seed=st.integers(min_value=0, max_value=2**32),
+        keep_top=st.booleans(),
+    )
+    @example(mf=three_lines_mf(), seed=0, keep_top=True)
+    @example(mf=three_lines_mf(), seed=1, keep_top=False)
+    @settings(max_examples=40, deadline=None)
+    def test_routes_match_all_point_references(self, mf, seed, keep_top):
+        rees = rees_of(mf)
+        for module in (rees, _recoordinatized(rees, random.Random(seed), keep_top)):
+            self._assert_routes_match_references(module)
+
+    def test_non_monotone_module_matches_references(self):
+        module = _non_monotone_module()
+        assert module.saturated_top == (False, False)
+        self._assert_routes_match_references(module)
+        # the map out of the 2-dim piece at (1, 0) kills a vector
+        assert not is_regular_sequence(module, (0,)).regular
+        assert not reference_koszul_prefix_exact(module, frozenset({0}))
+
+
+def _outcome(flat_test, rees):
+    try:
+        cert = flat_test(rees)
+    except AssertionError as exc:
+        return ("error", str(exc))
+    return (cert.flat, cert.witness_kind, cert.witness)
+
+
+class TestFlatnessWalk:
+    """`is_flat` walks the permutations by prefix set; the reference loops
+    over all of them."""
+
+    @given(mf=st.one_of(multifiltrations(), st.integers(min_value=0, max_value=10**6).map(_seeded_family)))
+    @example(mf=three_lines_mf())
+    @example(mf=pair_mf())
+    @settings(max_examples=40, deadline=None)
+    def test_walk_matches_permutation_loop(self, mf):
+        assert _outcome(is_flat, rees_of(mf)) == _outcome(reference_is_flat, rees_of(mf))
+
+    @given(
+        mf=st.one_of(multifiltrations(), st.integers(min_value=0, max_value=10**6).map(_seeded_family)),
+        data=st.data(),
+    )
+    @example(mf=pair_mf(), data=None)
+    @settings(max_examples=40, deadline=None)
+    def test_route_disagreement_raises_the_same_error(self, mf, data):
+        # flip one step's verdict on one route: the walk must find the same
+        # first failing order as the loop, and raise the same error on it
+        rees = rees_of(mf)
+        n = rees.nvars
+        if data is None:
+            route, varset, nxt = "koszul", frozenset({1}), None
+        elif data.draw(st.booleans()):
+            route, nxt = "koszul", None
+            varset = frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        else:
+            route, nxt = "inj", data.draw(st.integers(0, n - 1))
+            varset = frozenset(data.draw(st.sets(st.integers(0, n - 1).filter(lambda v: v != nxt))))
+        step, koszul = rees_module._step_injective, rees_module._koszul_prefix_exact
+        with pytest.MonkeyPatch.context() as mp:
+            if route == "koszul":
+                mp.setattr(rees_module, "_koszul_prefix_exact", lambda r, vs: koszul(r, vs) != (vs == varset))
+            else:
+                mp.setattr(rees_module, "_step_injective", lambda r, vs, x: step(r, vs, x) != ((vs, x) == (varset, nxt)))
+            got = _outcome(is_flat, rees)
+            want = _outcome(reference_is_flat, rees)
+        assert got == want
+        if data is None:
+            assert got == ("error", "regularity routes disagree on (1, 0): injectivity=True, Koszul=False")
+
+    def test_family_at_the_size_limit_takes_at_most_n_2_to_the_n_minus_1_steps(self, monkeypatch):
+        n = MAX_FAMILY_SIZE
+        rees = rees_of(MultiFiltration([Filtration.trivial(1)] * n))
+        counts = {"inj": 0, "koszul": 0, "regular": 0}
+        step, koszul, regular = rees_module._step_injective, rees_module._koszul_prefix_exact, rees_module.is_regular_sequence
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(rees_module, "_step_injective", counted("inj", step))
+        monkeypatch.setattr(rees_module, "_koszul_prefix_exact", counted("koszul", koszul))
+        monkeypatch.setattr(rees_module, "is_regular_sequence", counted("regular", regular))
+        assert _first_irregular_permutation(rees) is None
+        assert counts["inj"] <= n * 2 ** (n - 1) and counts["koszul"] <= n * 2 ** (n - 1)
+        assert counts["regular"] == 0
+        # the subset route still tests each of the 2^n - 1 subsets once
+        assert is_flat(rees).flat
+        assert counts["regular"] == 2**n - 1

@@ -453,9 +453,10 @@ def _lines_family():
 
 class TestBasisChange:
     """A change of basis of the ambient space gives the same structured
-    report on every compatibility task: verdicts, witnesses, box and every
-    dimension depend on the family only up to isomorphism.  The report
-    digests of the compat-lattice benchmark stream rely on this."""
+    report on every compatibility task and on ``check-lefschetz``:
+    verdicts, witnesses, box and every dimension depend on the input only
+    up to isomorphism.  The report digests of the compat-lattice and
+    polarized-hodge benchmark streams rely on this."""
 
     @given(
         mf=strat.multifiltrations(),
@@ -484,6 +485,42 @@ class TestBasisChange:
         assert moved != family
         reports = self._assert_same_reports(family, moved, {"sequence": [2, 0], "multidegree": [0, 0, 1]})
         assert "witness" in json.loads(reports["check-compat"])["details"]
+
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3).filter(
+            lambda sizes: len(sizes) < 3 or max(sizes) < 3
+        ),
+        scale=st.sampled_from((Fraction(1), Fraction(7, 3), Fraction(-5, 2))),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_conjugated_lefschetz_structure_gives_identical_report(self, sizes, scale, seed):
+        # plain, rescaled and negated pairings: the verdicts, the failing
+        # degree and the positivity witness are invariants of the structure
+        fx = fixtures.fixture_tensor_jordan(sizes)
+        comps = {k: s.basis for k, s in fx.graded_space().components.items()}
+        ops, pairing = fx.operators(), fx.pairing() * scale
+        g = strat.random_unimodular(random.Random(seed), fx.dim, rounds=4)
+        gi = g.inverse()
+        moved_comps = {k: [g.apply(v) for v in basis] for k, basis in comps.items()}
+        moved_ops = [g * n * gi for n in ops]
+        moved_pairing = gi.transpose() * pairing * gi
+
+        def report(comps, ops, pairing):
+            payload = {
+                "ambient_dim": fx.dim,
+                "components": [
+                    {"degree": list(k), "basis": [vector_to_json(v) for v in basis]} for k, basis in sorted(comps.items())
+                ],
+                "operators": [matrix_to_json(n) for n in ops],
+                "pairing": matrix_to_json(pairing),
+            }
+            return emit_report(run_task(Document("check-lefschetz", payload)), "structured")
+
+        before = report(comps, ops, pairing)
+        assert report(moved_comps, moved_ops, moved_pairing) == before
+        details = json.loads(before)["details"]
+        assert ("failure" in details) == (scale < 0)
 
     @staticmethod
     def _assert_same_reports(family, moved, koszul):

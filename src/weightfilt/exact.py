@@ -15,10 +15,11 @@ Rational data is handled as Python ints wherever that is cheaper:
 `rref` and `rank_of_rows` run one fraction-free integer elimination, and
 `Matrix` products, ``apply``, sums and rational scalar multiples run on
 each matrix's sparse integer form (its entries times the lcm of their
-denominators), multiplying only nonzero entries.  A rational `Subspace`
-stores its reduced rows as primitive integer rows, so membership, sums,
-intersections, images, preimages and kernels build no `Fraction`; its
-`Fraction` basis is built on first read.  Results are returned as
+denominators), multiplying only nonzero entries, and `exp_nilpotent` sums
+its series on that form.  A rational `Subspace` stores its reduced rows as
+primitive integer rows, so membership, sums, intersections, images,
+preimages and kernels build no `Fraction`; its `Fraction` basis is built on
+first read.  Results are returned as
 `Fraction`s, never as ints.  Data holding a `GaussianRational` takes a
 generic loop over the scalars instead.
 """
@@ -1176,20 +1177,48 @@ def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
 
 
 def exp_nilpotent(m: Matrix) -> Matrix:
-    """Exact exponential of a nilpotent matrix (the series terminates)."""
+    """Exact exponential of a nilpotent matrix (the series terminates).
+
+    A rational matrix is ``A / s`` for its integer form ``A``, so the
+    series is ``sum of A^k / (s^k k!)``.  It is summed on ints: the partial
+    sum is kept over the running common scale ``s^k k!``, and one `Matrix`
+    is built from it at the end.  A Gaussian matrix sums `Matrix` terms.
+    """
     if not m.is_square():
         raise ValueError("exponential of a non-square matrix")
-    out = Matrix.identity(m.rows)
-    power = Matrix.identity(m.rows)
+    n = m.rows
+    form = m._integer_form()
+    if form is None:
+        out = Matrix.identity(n)
+        power = Matrix.identity(n)
+        k = 1
+        while True:
+            power = power * m
+            if power.is_zero():
+                return out
+            if k > n:
+                raise ValueError("matrix is not nilpotent")
+            out = out + power * Fraction(1, factorial(k))
+            k += 1
+    s = form[0]
+    total = [[int(i == j) for j in range(n)] for i in range(n)]
+    scale = 1
+    power = form[1]  # the sparse rows of s^k M^k
     k = 1
-    while True:
-        power = power * m
-        if power.is_zero():
-            return out
-        if k > m.rows:
+    while any(power):
+        if k > n:
             raise ValueError("matrix is not nilpotent")
-        out = out + power * Fraction(1, factorial(k))
+        f = s * k
+        scale *= f
+        if f != 1:
+            total = [[x * f for x in row] for row in total]
+        for row, srow in zip(total, power):
+            for j, a in srow:
+                row[j] += a
+        dense = _sparse_product((1, power), form, n)[1]
+        power = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in dense)
         k += 1
+    return Matrix._from_ints(scale, total, n)
 
 
 def is_symmetric(m: Matrix) -> bool:

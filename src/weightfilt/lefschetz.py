@@ -13,6 +13,18 @@ The Weil element of a slot comes from completing the slot's operator to an
 sl2 triple: the raising operator is the unique solution of the bracket
 equation among maps of degree +2 in that slot, and the completed triple is
 certified against the full bracket table before use.
+
+A graded space computes its basis adapted to the grading (the change of
+basis ``b``, its inverse and the block of each piece) once, on first use.
+Validation, the sl2 solve and its certification, and the Weil elements run
+in that frame, where the grading operators are diagonal and the slot
+operators are block-sparse of degree -2; ``weil_w`` conjugates the product
+of the slot Weil elements back to ambient coordinates once.  Both
+polarization routes then work in ambient coordinates: route one on the
+multiprimitive parts with the ambient operator powers, route two on
+``pairing * weil_w(structure)``.  See Cattani–Kaplan–Schmid, "Degeneration
+of Hodge structures" (Ann. of Math. 123, 1986) for sl2 triples and Weil
+elements in a weight-adapted basis.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from .exact import (
     GaussianRational,
     Immutable,
     Matrix,
+    Scalar,
     Subspace,
     exp_nilpotent,
     is_positive_definite,
@@ -43,6 +56,13 @@ from .monodromy import (
 )
 
 MultiDegree = Tuple[int, ...]
+Layout = Dict[MultiDegree, Tuple[int, int]]
+
+
+def _block(m: Matrix, layout: Layout, ka: MultiDegree, kb: MultiDegree) -> List[List[Scalar]]:
+    """The block of ``m`` in adapted coordinates from piece ``kb`` to piece ``ka``."""
+    (ro, rd), (co, cd) = layout[ka], layout[kb]
+    return [list(m.entries[ro + a][co : co + cd]) for a in range(rd)]
 
 
 class GradedSpace(Immutable):
@@ -56,7 +76,7 @@ class GradedSpace(Immutable):
     0
     """
 
-    __slots__ = ("ambient_dim", "nslots", "components", "_hash")
+    __slots__ = ("ambient_dim", "nslots", "components", "_hash", "_frame")
 
     def __init__(self, ambient_dim: int, components: Dict[MultiDegree, Subspace]) -> None:
         comps = {tuple(int(x) for x in k): v for k, v in components.items() if v.dim > 0}
@@ -81,6 +101,7 @@ class GradedSpace(Immutable):
         object.__setattr__(
             self, "_hash", hash((ambient_dim, tuple(sorted(comps.items(), key=lambda kv: kv[0]))))
         )
+        object.__setattr__(self, "_frame", None)
 
     def multidegrees(self) -> List[MultiDegree]:
         return sorted(self.components)
@@ -98,23 +119,39 @@ class GradedSpace(Immutable):
                 out.append((k, b))
         return out
 
+    def _adapted_frame(self) -> Tuple[Matrix, Matrix, Layout]:
+        """``(b, b⁻¹, layout)``, computed once, on first use: the change of
+        basis, its inverse, and the ``(offset, dim)`` of each piece's block
+        of adapted coordinates."""
+        if self._frame is None:
+            layout: Layout = {}
+            off = 0
+            for k in self.multidegrees():
+                layout[k] = (off, self.components[k].dim)
+                off += self.components[k].dim
+            b = Matrix.from_columns([v for _, v in self.adapted_basis()], self.ambient_dim)
+            object.__setattr__(self, "_frame", (b, b.inverse(), layout))
+        return self._frame
+
     def change_of_basis(self) -> Matrix:
         """Columns are the adapted basis vectors, in multidegree order."""
-        cols = [b for _, b in self.adapted_basis()]
-        return Matrix.from_columns(cols, self.ambient_dim)
+        return self._adapted_frame()[0]
+
+    def _slot_degrees(self, slot: int) -> Matrix:
+        """The grading operator of a slot in the adapted basis: diagonal."""
+        n = self.ambient_dim
+        dense = [[0] * n for _ in range(n)]
+        for k, (off, d) in self._adapted_frame()[2].items():
+            for i in range(off, off + d):
+                dense[i][i] = k[slot]
+        return Matrix._from_ints(1, dense, n)
 
     def grading_operator(self, slot: int) -> Matrix:
         """The semisimple operator acting as the slot degree on each piece."""
         if not 0 <= slot < self.nslots:
             raise ValueError("slot out of range")
-        b = self.change_of_basis()
-        i = 0
-        n = self.ambient_dim
-        entries = [[Fraction(0)] * n for _ in range(n)]
-        for k, _ in self.adapted_basis():
-            entries[i][i] = Fraction(k[slot])
-            i += 1
-        return b * Matrix(entries, n, n) * b.inverse()
+        b, binv, _ = self._adapted_frame()
+        return b * self._slot_degrees(slot) * binv
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedSpace):
@@ -133,12 +170,17 @@ class GradedBilinearStructure(Immutable):
 
     Validated at construction: each operator is nilpotent, lowers its slot
     degree by exactly two, the operators commute pairwise, and the pairing
-    is nondegenerate and pairs opposite multidegrees only.  ``nilpotents``
-    keeps the certified `NilpotentOperator` of each slot, so its powers are
-    computed once.
+    is nondegenerate and pairs opposite multidegrees only.  The degree and
+    pairing checks run in the basis adapted to the grading (the space's
+    change of basis ``b``): there an operator ``Y`` becomes ``b⁻¹Yb``,
+    which must vanish outside the blocks from piece ``k`` to piece
+    ``k - 2e_i``, and the pairing ``P`` becomes ``bᵀPb``, which must vanish
+    on the blocks of non-opposite pieces.  ``nilpotents`` keeps the
+    certified `NilpotentOperator` of each slot, so its powers are computed
+    once; the operators in the adapted basis are kept for the sl2 solve.
     """
 
-    __slots__ = ("space", "operators", "nilpotents", "pairing", "center")
+    __slots__ = ("space", "operators", "nilpotents", "pairing", "center", "_adapted_ops")
 
     def __init__(
         self,
@@ -153,41 +195,44 @@ class GradedBilinearStructure(Immutable):
         c = tuple(center) if center is not None else (0,) * space.nslots
         if len(c) != space.nslots:
             raise ValueError("center has wrong length")
+        b, binv, layout = space._adapted_frame()
         nilpotents = []
+        adapted = []
         for i, op in enumerate(operators):
             if (op.rows, op.cols) != (n, n):
                 raise ValueError("operator has wrong shape")
             nilpotents.append(NilpotentOperator(op))  # raises if not nilpotent
-            for k, comp in space.components.items():
+            y = binv * op * b
+            for k in space.components:
                 tgt = k[:i] + (k[i] - 2,) + k[i + 1 :]
-                if not space.component(tgt).contains(comp.image_under(op)):
+                lo, d = layout.get(tgt, (0, 0))
+                co, cd = layout[k]
+                if any(any(row[co : co + cd]) for r, row in enumerate(y.entries) if not lo <= r < lo + d):
                     raise ValueError(
                         f"operator {i} does not lower slot degree by two at {k}"
                     )
+            adapted.append(y)
         require_commuting(operators)
         if (pairing.rows, pairing.cols) != (n, n):
             raise ValueError("pairing has wrong shape")
         if pairing.rank() != n:
             raise ValueError("pairing is degenerate")
+        adapted_pairing = b.transpose() * pairing * b
         degs = space.multidegrees()
-        # K·v once per basis vector, then u·(K·v) for each pair to test
-        paired = {k: [pairing.apply(v) for v in space.components[k].basis] for k in degs}
         for ka in degs:
             for kb in degs:
-                if tuple(a + b for a, b in zip(ka, kb)) == tuple(2 * x for x in c):
+                if tuple(x + y for x, y in zip(ka, kb)) == tuple(2 * x for x in c):
                     continue
-                for u in space.components[ka].basis:
-                    for kv in paired[kb]:
-                        val = sum((x * y for x, y in zip(u, kv) if x and y), Fraction(0))
-                        if val:
-                            raise ValueError(
-                                f"pairing does not respect the grading: {ka} meets {kb}"
-                            )
+                if any(any(row) for row in _block(adapted_pairing, layout, ka, kb)):
+                    raise ValueError(
+                        f"pairing does not respect the grading: {ka} meets {kb}"
+                    )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "operators", tuple(operators))
         object.__setattr__(self, "nilpotents", tuple(nilpotents))
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "center", c)
+        object.__setattr__(self, "_adapted_ops", tuple(adapted))
 
     @property
     def nslots(self) -> int:
@@ -278,33 +323,22 @@ class Sl2Action(Immutable):
         return f"Sl2Action(slot={self.slot})"
 
 
-def sl2_complete(structure: GradedBilinearStructure, slot: int) -> Sl2Action:
-    """Complete a slot's lowering operator to a certified sl2 triple.
+def _adapted_sl2(structure: GradedBilinearStructure, slot: int) -> Sl2Action:
+    """The sl2 triple of a slot in the basis adapted to the grading.
 
-    The raising operator is found as the solution of ``[X, Y] = H`` among
-    operators of degree +2 in the chosen slot; the solution is unique when
-    the grading is the operator's weight grading.  Solved blockwise in a
-    basis adapted to the grading, then transported back.
+    There the lowering operator ``Y'`` is the structure's adapted operator,
+    the grading operator ``H'`` is diagonal, and the raising operator
+    ``X'`` is the solution of ``[X', Y'] = H'`` among maps with nonzero
+    blocks only from piece ``k`` to piece ``k + 2e_slot``.  The triple is
+    certified in this basis.
     """
     space = structure.space
     if not 0 <= slot < space.nslots:
         raise ValueError("slot out of range")
-    b = space.change_of_basis()
-    binv = b.inverse()
-    y_ad = binv * structure.operators[slot] * b
+    _, _, layout = space._adapted_frame()
+    y_ad = structure._adapted_ops[slot]
     n = space.ambient_dim
-
     degs = space.multidegrees()
-    layout: Dict[MultiDegree, Tuple[int, int]] = {}
-    off = 0
-    for k in degs:
-        d = space.components[k].dim
-        layout[k] = (off, d)
-        off += d
-
-    def block(m: Matrix, ka: MultiDegree, kb: MultiDegree) -> List[List[Fraction]]:
-        (ro, rd), (co, cd) = layout[ka], layout[kb]
-        return [[m.entries[ro + a][co + bb] for bb in range(cd)] for a in range(rd)]
 
     # Unknown blocks X_k : piece(k) -> piece(k + 2 e_slot).
     unknowns: List[Tuple[MultiDegree, int, int]] = []  # (source degree, row, col)
@@ -326,22 +360,20 @@ def sl2_complete(structure: GradedBilinearStructure, slot: int) -> Sl2Action:
         down = k[:slot] + (k[slot] - 2,) + k[slot + 1 :]
         up = k[:slot] + (k[slot] + 2,) + k[slot + 1 :]
         (ko, kd) = layout[k]
-        y_from_k = block(y_ad, down, k) if down in layout else None
-        y_from_up = block(y_ad, k, up) if up in layout else None
+        y_from_k = _block(y_ad, layout, down, k) if down in layout else None
+        y_from_up = _block(y_ad, layout, k, up) if up in layout else None
         for a in range(kd):
             for c in range(kd):
                 row = [Fraction(0)] * len(unknowns)
                 # (X Y)_{a c} over piece(k): X block from `down`
-                if y_from_k is not None and down in layout:
-                    dd = layout[down][1]
-                    for t in range(dd):
+                if y_from_k is not None:
+                    for t in range(layout[down][1]):
                         key = (down, a, t)
                         if key in index:
                             row[index[key]] += y_from_k[t][c]
                 # (Y X)_{a c}: X block from k up
-                if y_from_up is not None and up in layout:
-                    ud = layout[up][1]
-                    for t in range(ud):
+                if y_from_up is not None:
+                    for t in range(layout[up][1]):
                         key = (k, t, c)
                         if key in index:
                             row[index[key]] -= y_from_up[a][t]
@@ -361,17 +393,38 @@ def sl2_complete(structure: GradedBilinearStructure, slot: int) -> Sl2Action:
             up = k[:slot] + (k[slot] + 2,) + k[slot + 1 :]
             (ro, _), (co, _) = layout[up], layout[k]
             x_ad_entries[ro + a][co + c] = val
-    x = b * Matrix(x_ad_entries, n, n) * binv
-    h = space.grading_operator(slot)
-    return Sl2Action(x, structure.operators[slot], h, slot)
+    return Sl2Action(Matrix(x_ad_entries, n, n), y_ad, space._slot_degrees(slot), slot)
+
+
+def sl2_complete(structure: GradedBilinearStructure, slot: int) -> Sl2Action:
+    """Complete a slot's lowering operator to a certified sl2 triple.
+
+    The raising operator is found as the solution of ``[X, Y] = H`` among
+    operators of degree +2 in the chosen slot; the solution is unique when
+    the grading is the operator's weight grading.  The triple is solved and
+    certified in the basis adapted to the grading, where ``H`` is diagonal
+    and ``X`` and ``Y`` are block-sparse; the returned triple is its
+    conjugate in ambient coordinates, certified again.
+    """
+    adapted = _adapted_sl2(structure, slot)
+    b, binv, _ = structure.space._adapted_frame()
+    return Sl2Action(
+        b * adapted.raise_op * binv, structure.operators[slot], b * adapted.grading_op * binv, slot
+    )
 
 
 def weil_w(structure: GradedBilinearStructure) -> Matrix:
-    """Product of the Weil elements of all slots (slot order)."""
+    """Product of the Weil elements of all slots (slot order).
+
+    The slot Weil elements are built and multiplied in the basis adapted to
+    the grading, from the triples certified there; the product is conjugated
+    back to ambient coordinates once.
+    """
+    b, binv, _ = structure.space._adapted_frame()
     out = Matrix.identity(structure.ambient_dim)
     for i in range(structure.nslots):
-        out = out * sl2_complete(structure, i).weil_element()
-    return out
+        out = out * _adapted_sl2(structure, i).weil_element()
+    return b * out * binv
 
 
 def primitive_parts(structure: GradedBilinearStructure) -> Dict[MultiDegree, Subspace]:

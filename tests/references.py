@@ -1,17 +1,25 @@
-"""Reference loops for the exact kernel and the Rees regularity routes.
+"""Reference loops for the exact kernel, the Rees regularity routes and the
+Lefschetz machinery.
 
 Each exact-kernel function here is the `Fraction` (or Gaussian) field loop
 that the library ran before its integer kernels, kept so that differential
 tests can compare the fast paths with it.  A span is represented as the
 pair ``(rref rows, pivots)``, both tuples, which is what
 ``Subspace.basis`` and ``Subspace._pivots`` give.  The Rees functions are
-the loops that visited every interesting point and every permutation.
+the loops that visited every interesting point and every permutation.  The
+Lefschetz functions validate operators, solve sl2 triples and build Weil
+elements in ambient coordinates, inverting the change of basis wherever
+they need it, as the library did before it kept one adapted frame per
+graded space.
 """
 
 from fractions import Fraction
+from math import factorial
 from itertools import combinations, permutations
 
-from weightfilt.exact import GaussianRational, image_of, sum_of
+from weightfilt.exact import GaussianRational, Matrix, image_of, solve_columns, sum_of
+from weightfilt.lefschetz import Sl2Action
+from weightfilt.monodromy import NilpotentOperator
 from weightfilt.rees import FlatnessCertificate, is_regular_sequence, koszul_homology
 
 
@@ -152,3 +160,128 @@ def reference_is_flat(rees):
     if subset_fail is not None:
         return FlatnessCertificate(False, "subset", subset_fail)
     return FlatnessCertificate(False, "permutation", perm_fail)
+
+
+def reference_exp_nilpotent(m):
+    """The exponential series on `Matrix` arithmetic: one `Fraction` grid
+    for every power and every partial sum."""
+    if not m.is_square():
+        raise ValueError("exponential of a non-square matrix")
+    out = Matrix.identity(m.rows)
+    power = Matrix.identity(m.rows)
+    k = 1
+    while True:
+        power = power * m
+        if power.is_zero():
+            return out
+        if k > m.rows:
+            raise ValueError("matrix is not nilpotent")
+        out = out + power * Fraction(1, factorial(k))
+        k += 1
+
+
+def reference_operator_failure(space, operators):
+    """The first error the operator checks of `GradedBilinearStructure`
+    raise, with one ``image_under`` per component and slot; None if every
+    operator is square, nilpotent and lowers its slot degree by two."""
+    n = space.ambient_dim
+    for i, op in enumerate(operators):
+        if (op.rows, op.cols) != (n, n):
+            return "operator has wrong shape"
+        try:
+            NilpotentOperator(op)
+        except ValueError as exc:
+            return str(exc)
+        for k, comp in space.components.items():
+            tgt = k[:i] + (k[i] - 2,) + k[i + 1 :]
+            if not space.component(tgt).contains(comp.image_under(op)):
+                return f"operator {i} does not lower slot degree by two at {k}"
+    return None
+
+
+def reference_sl2_complete(structure, slot):
+    """The ambient sl2 solve: conjugate Y into the adapted basis, solve the
+    bracket system there, conjugate X back, build H as ``b·D·b⁻¹``, and
+    certify the triple in ambient coordinates."""
+    space = structure.space
+    if not 0 <= slot < space.nslots:
+        raise ValueError("slot out of range")
+    n = space.ambient_dim
+    adapted = space.adapted_basis()
+    b = Matrix.from_columns([v for _, v in adapted], n)
+    binv = b.inverse()
+    y_ad = binv * structure.operators[slot] * b
+
+    degs = space.multidegrees()
+    layout = {}
+    off = 0
+    for k in degs:
+        layout[k] = (off, space.components[k].dim)
+        off += space.components[k].dim
+
+    def block(m, ka, kb):
+        (ro, rd), (co, cd) = layout[ka], layout[kb]
+        return [[m.entries[ro + a][co + c] for c in range(cd)] for a in range(rd)]
+
+    def shifted(k, by):
+        return k[:slot] + (k[slot] + by,) + k[slot + 1 :]
+
+    unknowns = []
+    index = {}
+    for k in degs:
+        up = shifted(k, 2)
+        if up not in layout:
+            continue
+        for a in range(layout[up][1]):
+            for c in range(layout[k][1]):
+                index[(k, a, c)] = len(unknowns)
+                unknowns.append((k, a, c))
+
+    rows, rhs = [], []
+    for k in degs:
+        down, up = shifted(k, -2), shifted(k, 2)
+        kd = layout[k][1]
+        y_from_k = block(y_ad, down, k) if down in layout else None
+        y_from_up = block(y_ad, k, up) if up in layout else None
+        for a in range(kd):
+            for c in range(kd):
+                row = [Fraction(0)] * len(unknowns)
+                if y_from_k is not None:
+                    for t in range(layout[down][1]):
+                        if (down, a, t) in index:
+                            row[index[(down, a, t)]] += y_from_k[t][c]
+                if y_from_up is not None:
+                    for t in range(layout[up][1]):
+                        if (k, t, c) in index:
+                            row[index[(k, t, c)]] -= y_from_up[a][t]
+                rows.append(row)
+                rhs.append(Fraction(k[slot]) if a == c else Fraction(0))
+
+    cols = [tuple(r[j] for r in rows) for j in range(len(unknowns))]
+    sol = solve_columns(cols, tuple(rhs))
+    if sol is None:
+        raise ValueError(
+            "no sl2 completion: the grading is not the weight grading of the operator"
+        )
+    x_ad = [[Fraction(0)] * n for _ in range(n)]
+    for val, (k, a, c) in zip(sol, unknowns):
+        if val:
+            (ro, _), (co, _) = layout[shifted(k, 2)], layout[k]
+            x_ad[ro + a][co + c] = val
+    diag = [[Fraction(0)] * n for _ in range(n)]
+    for i, (k, _) in enumerate(adapted):
+        diag[i][i] = Fraction(k[slot])
+    x = b * Matrix(x_ad, n, n) * binv
+    h = b * Matrix(diag, n, n) * b.inverse()
+    return Sl2Action(x, structure.operators[slot], h, slot)
+
+
+def reference_weil_w(structure):
+    """The product, in slot order, of the ambient Weil elements
+    ``exp(-X) exp(Y) exp(-X)`` of the ambient triples."""
+    out = Matrix.identity(structure.ambient_dim)
+    for i in range(structure.nslots):
+        triple = reference_sl2_complete(structure, i)
+        ex = reference_exp_nilpotent(-triple.raise_op)
+        out = out * ex * reference_exp_nilpotent(triple.lower_op) * ex
+    return out

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from weightfilt.exact import GaussianRational, Matrix, Subspace
 from weightfilt.filtration import Filtration, MultiFiltration
+from weightfilt.lefschetz import GradedSpace
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
@@ -149,6 +150,16 @@ def random_unimodular(rng: random.Random, dim: int, rounds: int = 2) -> Matrix:
         i, j = rng.sample(range(dim), 2)
         m = m * _shear(dim, i, j, Fraction(rng.choice((-1, 1))))
     return m
+
+
+def conjugate_structure(
+    space: GradedSpace, operators: Sequence[Matrix], pairing: Matrix, g: Matrix
+) -> Tuple[GradedSpace, List[Matrix], Matrix]:
+    """Graded bilinear data moved by the change of basis ``g``: components
+    ``g·v``, operators ``g N g⁻¹`` and pairing ``g⁻ᵀ P g⁻¹``."""
+    gi = g.inverse()
+    comps = {k: s.image_under(g) for k, s in space.components.items()}
+    return GradedSpace(space.ambient_dim, comps), [g * n * gi for n in operators], gi.transpose() * pairing * gi
 
 
 def random_nilpotent(rng: random.Random, dim: int, conjugations: int = 2) -> Matrix:

@@ -16,8 +16,12 @@ them again, and `QuotientPresentation.reduce`, `induced_matrix` and
 `Subspace.coordinates_of` read coordinates at pivots without solving a
 linear system; rational `Subspace` lattice operations work on integer
 rows without building a `Fraction`; the Koszul regularity route ranks no
-complex whose negative-degree components are all zero.  Each test here
-recomputes what is no longer checked at run time.
+complex whose negative-degree components are all zero; a graded space
+inverts its change of basis once, so that validating a graded bilinear
+structure and deciding its polarization by both routes inverts no other
+matrix; and the exponential of a rational nilpotent matrix is summed on
+ints and builds one `Matrix`.  Each test here recomputes what is no longer
+checked at run time.
 """
 
 import fractions
@@ -32,10 +36,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightfilt import exact
-from weightfilt.exact import Matrix, QuotientPresentation, Subspace, _sum_and_intersection, kernel_of
+from weightfilt.exact import Matrix, QuotientPresentation, Subspace, _sum_and_intersection, exp_nilpotent, kernel_of
 from weightfilt.filtration import Filtration, MultiFiltration, _subobject_compatibility_cached
 from weightfilt.fixtures import fixture_Vk, fixture_tensor_jordan
-from weightfilt.lefschetz import merge_slots
+from weightfilt.lefschetz import GradedBilinearStructure, merge_slots, polarization_check, sl2_complete, weil_w
 from weightfilt.monodromy import (
     NilpotentOperator,
     WeightAxiomFailure,
@@ -46,7 +50,16 @@ from weightfilt.nearby import MonodromicModule
 from weightfilt import rees as rees_module
 from weightfilt.rees import KoszulComplexData, ReesModule, _koszul_prefix_exact, is_flat, rees_of
 
-from strategies import multifiltrations, nilpotent_matrices, random_filtration, small_fractions, subspaces
+from references import reference_exp_nilpotent
+from strategies import (
+    conjugate_structure,
+    multifiltrations,
+    nilpotent_matrices,
+    random_filtration,
+    random_unimodular,
+    small_fractions,
+    subspaces,
+)
 
 
 def _assert_canonical(s):
@@ -315,6 +328,37 @@ def test_rational_lattice_operations_build_no_fraction(data, n, cols):
     assert _fraction_work(lambda: (source.image_under(m).intersect(u), hash(source))) == []
     total = u.sum(w)
     assert _fraction_work(lambda: QuotientPresentation(total, w)) == []
+
+
+def test_polarization_check_inverts_the_change_of_basis_once(monkeypatch):
+    fx = fixture_tensor_jordan((2, 3))
+    g = random_unimodular(random.Random(5), fx.dim, rounds=6)
+    moved = conjugate_structure(fx.graded_space(), fx.operators(), fx.pairing(), g)
+    inverted = []
+    inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda self: inverted.append(self) or inverse(self))
+    structure = GradedBilinearStructure(*moved)
+    assert polarization_check(structure).polarized
+    assert inverted == [structure.space.change_of_basis()]
+    # the public ambient triples and Weil element reuse the same frame
+    sl2_complete(structure, 1)
+    weil_w(structure)
+    assert len(inverted) == 1
+
+
+def test_rational_exponential_builds_one_matrix(monkeypatch):
+    m = Matrix.from_rows([[0, Fraction(1, 2), 3, 0], [0, 0, Fraction(-2, 3), 1], [0, 0, 0, Fraction(5, 7)], [0, 0, 0, 0]])
+    want = reference_exp_nilpotent(m)
+    built = []
+    from_ints = Matrix._from_ints.__func__
+
+    def counting(cls, scale, dense, cols):
+        built.append(cols)
+        return from_ints(cls, scale, dense, cols)
+
+    monkeypatch.setattr(Matrix, "_from_ints", classmethod(counting))
+    assert exp_nilpotent(m) == want
+    assert built == [4]
 
 
 def _assert_nilpotents_match(structure):

@@ -498,27 +498,22 @@ class TestBasisChange:
         # plain, rescaled and negated pairings: the verdicts, the failing
         # degree and the positivity witness are invariants of the structure
         fx = fixtures.fixture_tensor_jordan(sizes)
-        comps = {k: s.basis for k, s in fx.graded_space().components.items()}
-        ops, pairing = fx.operators(), fx.pairing() * scale
+        structure = (fx.graded_space(), fx.operators(), fx.pairing() * scale)
         g = strat.random_unimodular(random.Random(seed), fx.dim, rounds=4)
-        gi = g.inverse()
-        moved_comps = {k: [g.apply(v) for v in basis] for k, basis in comps.items()}
-        moved_ops = [g * n * gi for n in ops]
-        moved_pairing = gi.transpose() * pairing * gi
 
-        def report(comps, ops, pairing):
+        def report(space, ops, pairing):
             payload = {
-                "ambient_dim": fx.dim,
+                "ambient_dim": space.ambient_dim,
                 "components": [
-                    {"degree": list(k), "basis": [vector_to_json(v) for v in basis]} for k, basis in sorted(comps.items())
+                    {"degree": list(k), "basis": subspace_to_json(s)} for k, s in sorted(space.components.items())
                 ],
                 "operators": [matrix_to_json(n) for n in ops],
                 "pairing": matrix_to_json(pairing),
             }
             return emit_report(run_task(Document("check-lefschetz", payload)), "structured")
 
-        before = report(comps, ops, pairing)
-        assert report(moved_comps, moved_ops, moved_pairing) == before
+        before = report(*structure)
+        assert report(*strat.conjugate_structure(*structure, g)) == before
         details = json.loads(before)["details"]
         assert ("failure" in details) == (scale < 0)
 

@@ -27,6 +27,7 @@ from weightfilt.exact import (
 from references import (
     as_exact,
     reference_apply,
+    reference_exp_nilpotent,
     reference_image,
     reference_kernel,
     reference_preimage,
@@ -39,6 +40,7 @@ from strategies import (
     gaussian_scalars,
     matrices,
     nilpotent_matrices,
+    square_matrices,
     subspaces,
 )
 
@@ -373,6 +375,30 @@ class TestIntegerArithmetic:
     @settings(max_examples=100, deadline=None)
     def test_exp_nilpotent_matches_reference(self, m):
         _assert_same(exp_nilpotent(m), _reference_exp(m))
+
+    @given(m=nilpotent_matrices(max_dim=6), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exp_nilpotent_matches_fraction_series(self, m, data):
+        # non-integer entries: a rational multiple conjugated by a rational
+        # diagonal; times i, the same matrix takes the Gaussian series
+        nonzero = _rational_entries.filter(bool)
+        s = data.draw(nonzero)
+        d = data.draw(st.lists(nonzero, min_size=m.rows, max_size=m.rows))
+        m = Matrix([[x * s * d[i] / d[j] for j, x in enumerate(row)] for i, row in enumerate(m.entries)])
+        _assert_same(exp_nilpotent(m), reference_exp_nilpotent(m))
+        _assert_same(exp_nilpotent(m * I), reference_exp_nilpotent(m * I))
+
+    @given(square_matrices())
+    @example(Matrix([[0, 1], [1, 0]]))
+    @example(Matrix([[0, I], [1, 0]]))
+    def test_exp_nilpotent_refuses_what_the_series_refuses(self, m):
+        try:
+            want = reference_exp_nilpotent(m)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                exp_nilpotent(m)
+        else:
+            _assert_same(exp_nilpotent(m), want)
 
     @given(n=_dims)
     def test_identity_and_zero_are_canonical(self, n):

@@ -1,5 +1,6 @@
 """Graded bilinear structures, sl(2) completions, and polarization routes."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,28 @@ from weightfilt.lefschetz import (
     weil_w,
 )
 
+from references import (
+    reference_operator_failure,
+    reference_sl2_complete,
+    reference_weil_w,
+)
+from strategies import conjugate_structure, random_unimodular
+
+
 def _tensor_structure(sizes):
     return fixture_tensor_jordan(sizes).structure()
+
+
+_tensor_sizes = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2)
+
+
+@st.composite
+def _moved_tensor_data(draw, sizes=_tensor_sizes):
+    """A tensor fixture's space, operators and pairing, moved by a random
+    unimodular change of basis (the identity when it draws no shears)."""
+    fx = fixture_tensor_jordan(draw(sizes))
+    g = random_unimodular(random.Random(draw(st.integers(0, 2**32))), fx.dim, rounds=draw(st.integers(0, 4)))
+    return conjugate_structure(fx.graded_space(), fx.operators(), fx.pairing(), g)
 
 
 class TestGradedSpace:
@@ -89,14 +110,10 @@ def _reference_grading_failure(space, pairing, center):
 
 
 class TestPairingGrading:
-    @given(
-        sizes=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2),
-        data=st.data(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_first_failure_matches_reference(self, sizes, data):
-        fx = fixture_tensor_jordan(sizes)
-        space, pairing = fx.graded_space(), fx.pairing()
+    @given(moved=_moved_tensor_data(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_first_failure_matches_reference(self, moved, data):
+        space, ops, pairing = moved
         n = pairing.rows
         cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
         grid = [list(row) for row in pairing.entries]
@@ -107,11 +124,100 @@ class TestPairingGrading:
             return
         expected = _reference_grading_failure(space, perturbed, (0,) * space.nslots)
         if expected is None:
-            GradedBilinearStructure(space, fx.operators(), perturbed)
+            GradedBilinearStructure(space, ops, perturbed)
         else:
             with pytest.raises(ValueError) as info:
-                GradedBilinearStructure(space, fx.operators(), perturbed)
+                GradedBilinearStructure(space, ops, perturbed)
             assert str(info.value) == expected
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the message of the `ValueError` it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestAdaptedFrame:
+    """The frame code against the ambient references it replaced."""
+
+    @given(moved=_moved_tensor_data(), merge=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_triples_and_weil_element_match_reference(self, moved, merge):
+        structure = GradedBilinearStructure(*moved)
+        if merge and structure.nslots == 2:
+            structure = merge_slots(structure, 0, 1)
+        assert weil_w(structure) == reference_weil_w(structure)
+        for slot in range(structure.nslots):
+            got, want = sl2_complete(structure, slot), reference_sl2_complete(structure, slot)
+            assert (got.raise_op, got.lower_op, got.grading_op) == (want.raise_op, want.lower_op, want.grading_op)
+
+    @given(
+        moved=_moved_tensor_data(sizes=st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=2)),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_degree_two_operator_matches_reference(self, moved, data):
+        # a random operator of degree -2 on the merged grading: nilpotent and
+        # graded, but its weight grading need not be the given one, so the
+        # sl2 solve may fail; it must fail with the reference's message
+        pairing = moved[2]
+        space = merge_slots(GradedBilinearStructure(*moved), 0, 1).space
+        b = Matrix.from_columns([v for _, v in space.adapted_basis()], space.ambient_dim)
+        degrees = [k for k, _ in space.adapted_basis()]
+        n = len(degrees)
+        entry = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2)))
+        y_ad = Matrix(
+            [[data.draw(entry) if degrees[r][0] == degrees[c][0] - 2 else 0 for c in range(n)] for r in range(n)]
+        )
+        structure = GradedBilinearStructure(space, [b * y_ad * b.inverse()], pairing)
+        got = _outcome(sl2_complete, structure, 0)
+        want = _outcome(reference_sl2_complete, structure, 0)
+        if isinstance(want, str):
+            assert got == want
+            assert _outcome(weil_w, structure) == want
+        else:
+            assert (got.raise_op, got.grading_op) == (want.raise_op, want.grading_op)
+            assert weil_w(structure) == reference_weil_w(structure)
+
+    @given(
+        sizes=_tensor_sizes,
+        seed=st.integers(0, 2**32),
+        rounds=st.integers(0, 4),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_perturbed_operator_fails_like_reference(self, sizes, seed, rounds, data):
+        # single entries changed in the fixture's coordinates, then moved;
+        # entries above the diagonal keep the operator nilpotent, and
+        # several of them can make several components fail
+        fx = fixture_tensor_jordan(sizes)
+        ops = fx.operators()
+        i = data.draw(st.integers(0, len(ops) - 1))
+        grid = [list(row) for row in ops[i].entries]
+        cells = st.tuples(st.integers(0, fx.dim - 1), st.integers(0, fx.dim - 1), st.sampled_from((-2, -1, 1, Fraction(1, 2))))
+        for r, c, x in data.draw(st.lists(cells, min_size=1, max_size=3)):
+            grid[r][c] += x
+        ops[i] = Matrix(grid)
+        g = random_unimodular(random.Random(seed), fx.dim, rounds=rounds)
+        space, ops, pairing = conjugate_structure(fx.graded_space(), ops, fx.pairing(), g)
+        # the checks visit the components in the order they were given
+        space = GradedSpace(space.ambient_dim, dict(data.draw(st.permutations(list(space.components.items())))))
+        expected = reference_operator_failure(space, ops)
+        got = _outcome(GradedBilinearStructure, space, ops, pairing)
+        if expected is None:
+            assert isinstance(got, GradedBilinearStructure) or "lower slot degree" not in got
+        else:
+            assert got == expected
+
+    def test_perturbation_reports_the_first_component_in_input_order(self):
+        # N v2 = v1 + v0 on V2 stays nilpotent and fails at degree 2 only
+        fx = fixture_Vk(2)
+        grid = [list(row) for row in fx.lowering.entries]
+        grid[0][2] = Fraction(1)
+        with pytest.raises(ValueError, match=r"operator 0 does not lower slot degree by two at \(2,\)"):
+            GradedBilinearStructure(fx.graded_space(), [Matrix(grid)], fx.pairing)
 
 
 class TestSl2Completion:

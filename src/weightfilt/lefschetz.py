@@ -359,7 +359,7 @@ def _adapted_sl2(structure: GradedBilinearStructure, slot: int) -> Sl2Action:
     for k in degs:
         down = k[:slot] + (k[slot] - 2,) + k[slot + 1 :]
         up = k[:slot] + (k[slot] + 2,) + k[slot + 1 :]
-        (ko, kd) = layout[k]
+        kd = layout[k][1]
         y_from_k = _block(y_ad, layout, down, k) if down in layout else None
         y_from_up = _block(y_ad, layout, k, up) if up in layout else None
         for a in range(kd):

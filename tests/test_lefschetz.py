@@ -211,14 +211,6 @@ class TestAdaptedFrame:
         else:
             assert got == expected
 
-    def test_perturbation_reports_the_first_component_in_input_order(self):
-        # N v2 = v1 + v0 on V2 stays nilpotent and fails at degree 2 only
-        fx = fixture_Vk(2)
-        grid = [list(row) for row in fx.lowering.entries]
-        grid[0][2] = Fraction(1)
-        with pytest.raises(ValueError, match=r"operator 0 does not lower slot degree by two at \(2,\)"):
-            GradedBilinearStructure(fx.graded_space(), [Matrix(grid)], fx.pairing)
-
 
 class TestSl2Completion:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])

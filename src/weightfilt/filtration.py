@@ -18,10 +18,12 @@ point and direction at which exactness breaks.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import floor
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import (
@@ -97,6 +99,16 @@ def _index(x: object) -> Index:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
+def step_value(
+    steps: Sequence[Tuple[Index, Subspace]], bottom: Subspace, x: Index, strict: bool = False
+) -> Subspace:
+    """The value at ``x`` (just below ``x`` when ``strict``) of the
+    filtration whose sorted strict jumps are ``steps`` and whose value
+    below its first jump is ``bottom``."""
+    i = (bisect_left if strict else bisect_right)(steps, x, key=itemgetter(0))
+    return steps[i - 1][1] if i else bottom
+
+
 class Filtration(Immutable):
     """An increasing exhaustive filtration with finitely many jumps.
 
@@ -160,23 +172,11 @@ class Filtration(Immutable):
     # -- values -----------------------------------------------------------
 
     def value_at(self, x: Index) -> Subspace:
-        out = self._zero
-        for idx, s in self.steps:
-            if idx <= x:
-                out = s
-            else:
-                break
-        return out
+        return step_value(self.steps, self._zero, x)
 
     def value_below(self, x: Index) -> Subspace:
         """The value just under ``x``: sup of the filtration at indices < x."""
-        out = self._zero
-        for idx, s in self.steps:
-            if idx < x:
-                out = s
-            else:
-                break
-        return out
+        return step_value(self.steps, self._zero, x, strict=True)
 
     def jumps(self) -> Tuple[Index, ...]:
         return tuple(x for x, _ in self.steps)

@@ -3,9 +3,11 @@
 The absolute weight filtration of a nilpotent operator N, centered at an
 integer c, is the unique increasing filtration W with ``N W_k <= W_{k-2}``
 such that the ℓ-th power of N induces an isomorphism from the graded piece
-at ``c + ℓ`` onto the piece at ``c - ℓ``.  We construct it from a Jordan
-chain basis and then *re-certify both axioms on every call*, so a returned
-filtration is always a checked certificate rather than a trusted byproduct.
+at ``c + ℓ`` onto the piece at ``c - ℓ``.  One routine, `_weight_steps`,
+builds every weight filtration here by Deligne's recursion (*Weil II*,
+1.6.1) on an N-stable interval of the subspace lattice, and *re-certifies
+both axioms on every call*, so a returned filtration is always a checked
+certificate rather than a trusted byproduct.
 
 The relative weight filtration of N with respect to an auxiliary filtration
 L (when it exists) is the filtration inducing, on each L-graded piece, the
@@ -25,8 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exact import Immutable, Matrix, QuotientPresentation, Subspace, kernel_of
-from .filtration import Filtration
+from .exact import Immutable, Matrix, Subspace, kernel_of
+from .filtration import Filtration, Index, step_value
 
 
 class NilpotentOperator(Immutable):
@@ -142,16 +144,22 @@ def verify_weight_axioms(w: Filtration, n: OperatorLike) -> None:
     that holds iff both graded dimensions equal the rank
     ``dim(N^ℓ W_{c+ℓ} + W_{<c-ℓ}) - dim W_{<c-ℓ}`` of the induced map.
     """
-    op = _as_operator(n)
-    c = w.center
-    for k in w.jumps():
-        moved = w.value_at(k).image_under(op.matrix)
-        if not w.value_at(k - 2).contains(moved):
+    _check_weight_axioms(_as_operator(n), w.steps, Subspace.zero(w.ambient_dim), w.center)
+
+
+def _check_weight_axioms(
+    op: NilpotentOperator, steps: Sequence[Tuple[Index, Subspace]], bottom: Subspace, c: Index
+) -> None:
+    """`verify_weight_axioms` for the filtration of an N-stable interval
+    with strict jumps ``steps`` over the value ``bottom`` below them."""
+    for k, value in steps:
+        if not step_value(steps, bottom, k - 2).contains(value.image_under(op.matrix)):
             raise WeightAxiomFailure(f"operator does not lower the filtration by two at {k}")
-    if not w.steps:
+    if not steps:
         return
-    span = max(abs(w.steps[-1][0] - c), abs(w.steps[0][0] - c))
-    dims = w.graded_dims()
+    span = max(abs(steps[-1][0] - c), abs(steps[0][0] - c))
+    below = [bottom.dim] + [value.dim for _, value in steps]
+    dims = {k: value.dim - d for (k, value), d in zip(steps, below)}
     for ell in range(1, span + 1):
         hi, lo = dims.get(c + ell, 0), dims.get(c - ell, 0)
         if hi != lo:
@@ -160,19 +168,45 @@ def verify_weight_axioms(w: Filtration, n: OperatorLike) -> None:
             )
         if hi == 0:
             continue
-        below = w.value_below(c - ell)
-        if w.value_at(c + ell).image_under(op.power(ell)).sum(below).dim - below.dim != hi:
+        under = step_value(steps, bottom, c - ell, strict=True)
+        if step_value(steps, bottom, c + ell).image_under(op.power(ell)).sum(under).dim - under.dim != hi:
             raise WeightAxiomFailure(
                 f"power {ell} does not induce an isomorphism between pieces {c + ell} and {c - ell}"
             )
 
 
+def _weight_steps(op: NilpotentOperator, a: Subspace, b: Subspace, c: Index) -> List[Tuple[Index, Subspace]]:
+    """The certified strict jumps, centered at ``c``, of the weight filtration
+    of N on ``b / a``, read in ``V``; ``a <= b`` must both be N-stable.
+
+    With m the largest power such that ``N^m b`` is not inside ``a``, it is
+    ``b`` from ``c + m`` up, ``a.preimage_under(N^m) ∩ b`` at ``c + m - 1``
+    and ``N^m b + a`` at ``c - m``; between these it is the filtration of
+    the interval they bound, where ``N^m`` induces zero.
+    """
+    bottom, low, high = a, [], []
+    # N^q induces zero on a space of dimension q
+    for m in range(min(op.nil_order, b.dim - a.dim - 1), 0, -1):
+        if a == b:
+            break
+        moved = b.image_under(op.power(m))
+        if a.contains(moved):
+            continue
+        high.append((c + m, b))
+        a, b = a.sum(moved), a.preimage_under(op.power(m)).intersect(b)
+        low.append((c - m, a))
+    if a != b:
+        low.append((c, b))
+    steps = low + high[::-1]
+    _check_weight_axioms(op, steps, bottom, c)
+    return steps
+
+
 def monodromy_filtration(n: OperatorLike, center: int = 0) -> Filtration:
     """The weight filtration of a nilpotent operator, centered as requested.
 
-    Built from a Jordan chain basis (an element t steps down a chain of
-    length m carries weight ``m - 1 - 2 t``) and certified against both
-    axioms before being returned.
+    Built by `_weight_steps` on the whole space, which certifies it against
+    both axioms before it is returned.
 
     >>> j2 = Matrix.from_rows([[0, 0], [1, 0]])
     >>> w = monodromy_filtration(j2)
@@ -181,23 +215,7 @@ def monodromy_filtration(n: OperatorLike, center: int = 0) -> Filtration:
     """
     op = _as_operator(n)
     d = op.dim
-    weighted: List[Tuple[int, Tuple[Fraction, ...]]] = []
-    for chain in jordan_chain_basis(op):
-        m = len(chain)
-        for t, v in enumerate(chain):
-            weighted.append((center + (m - 1) - 2 * t, v))
-    if not weighted:
-        out = Filtration(d, [], center=center)
-        verify_weight_axioms(out, op)
-        return out
-    levels = sorted(set(k for k, _ in weighted))
-    steps = []
-    for k in levels:
-        vecs = [v for kk, v in weighted if kk <= k]
-        steps.append((k, Subspace.span(vecs, d)))
-    out = Filtration(d, steps, center=center)
-    verify_weight_axioms(out, op)
-    return out
+    return Filtration(d, _weight_steps(op, Subspace.zero(d), Subspace.full(d), center), center=center)
 
 
 # -- relative weight filtrations --------------------------------------------
@@ -266,49 +284,35 @@ def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyR
       lower and upper bounds;
     * ``N M_l <= M_{l-2}`` and ``M_{l-1} <= M_l``.
 
-    The bounds are refined to a fixpoint.  Violations refute existence
-    (with a certificate); pinned bounds produce a candidate that is then
-    certified against both requirements before being accepted.
+    The forced filtration of the piece at k, read in V, is `_weight_steps`
+    on ``[L_{<k}, L_k]``.  The bounds are refined to a fixpoint.  Violations
+    refute existence (with a certificate); pinned bounds produce a candidate
+    that is then certified against both requirements before being accepted.
     """
     op = _as_operator(n)
     d = lfilt.ambient_dim
     if op.dim != d:
         raise ValueError("operator and filtration live on different spaces")
-    for k in lfilt.jumps():
+    jumps = lfilt.jumps()
+    for k in jumps:
+        if not isinstance(k, int):
+            raise ValueError(f"relative weight filtrations need integer indices, got {k!r}")
         if not lfilt.value_at(k).contains(lfilt.value_at(k).image_under(op.matrix)):
             raise ValueError("operator does not preserve the auxiliary filtration")
-
-    jumps = lfilt.jumps()
     if not jumps:
         return RelativeMonodromyResult(True, Filtration(d, []), None)
 
-    pieces: Dict[int, QuotientPresentation] = {}
-    graded_weights: Dict[int, Filtration] = {}
-    max_exp = 1
-    for k in jumps:
-        piece = lfilt.graded_at(k)
-        pieces[k] = piece
-        induced = piece.induced_matrix(op.matrix, piece)
-        ind_op = NilpotentOperator(induced)
-        max_exp = max(max_exp, ind_op.exponent)
-        graded_weights[k] = monodromy_filtration(ind_op, center=k)
-
+    bottoms = {k: lfilt.value_below(k) for k in jumps}
+    weights = {k: _weight_steps(op, bottoms[k], lfilt.value_at(k), k) for k in jumps}
+    max_exp = 1 + max(weights[k][-1][0] - k for k in jumps)
     lo = min(jumps) - max_exp
     hi = max(jumps) + max_exp
 
-    # Necessary data: preimages of the forced graded filtrations, forced
-    # cumulative dimensions, and the forced total dimension per level.
-    pre: Dict[Tuple[int, int], Subspace] = {}
-    for k in jumps:
-        piece = pieces[k]
-        below = lfilt.value_at(k - 1)
-        for ell in range(lo, hi + 1):
-            wval = graded_weights[k].value_at(ell)
-            lifts = [piece.lift(b) for b in wval.basis]
-            pre[(k, ell)] = below.sum(Subspace.span(lifts, d))
-
+    # Necessary data: the forced filtration of each graded piece read in V,
+    # and the forced cumulative dimensions of ``M_l ∩ L_k``.
+    pre = {(k, ell): step_value(weights[k], bottoms[k], ell) for k in jumps for ell in range(lo, hi + 1)}
     forced = {
-        (k, ell): sum(graded_weights[kk].value_at(ell).dim for kk in jumps if kk <= k)
+        (k, ell): sum(pre[(kk, ell)].dim - bottoms[kk].dim for kk in jumps if kk <= k)
         for k in jumps
         for ell in range(lo, hi)
     }
@@ -329,11 +333,6 @@ def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyR
             ub[ell] = pre[(top_jump, ell)]
             lb[ell] = pre[(bottom_jump, ell)]
 
-    def refute(level: int, kind: str, at_jump: Optional[int], msg: str) -> RelativeMonodromyResult:
-        return RelativeMonodromyResult(
-            False, None, NonexistenceCertificate(level, kind, at_jump, msg)
-        )
-
     certificate = _squeeze(op.matrix, lfilt, pre, forced, lb, ub, lo, hi)
     if certificate is not None:
         return RelativeMonodromyResult(False, None, certificate)
@@ -349,7 +348,9 @@ def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyR
             base = lb[ell].sum(prev)
             target = forced[(top_jump, ell)]
             if base.dim > target:
-                return refute(ell, "dimension-overflow", None, "completion forced too many vectors")
+                return RelativeMonodromyResult(False, None, NonexistenceCertificate(
+                    ell, "dimension-overflow", None, "completion forced too many vectors"
+                ))
             room = ub[ell]
             cand = base
             if cand.dim < target:
@@ -361,12 +362,14 @@ def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyR
     steps = [(ell, values[ell]) for ell in range(lo, hi)] + [(hi, full)]
     candidate = Filtration(d, steps)
 
-    failure = _relative_axiom_failure(candidate, op, pieces, graded_weights)
+    failure = _relative_axiom_failure(candidate, op.matrix, lfilt, pre, lo, hi)
     if failure is None:
         return RelativeMonodromyResult(True, candidate, None)
     if pinned:
         level, msg = failure
-        return refute(level, "axiom", None, f"unique candidate fails certification: {msg}")
+        return RelativeMonodromyResult(False, None, NonexistenceCertificate(
+            level, "axiom", None, f"unique candidate fails certification: {msg}"
+        ))
     raise UndeterminedRelativeFiltration(
         "the relative filtration is undetermined: bounds left freedom and the "
         "canonical completion fails certification: "
@@ -387,10 +390,11 @@ def _squeeze(
     """Refine the bounds ``lb[l] <= M_l <= ub[l]`` of `relative_monodromy`
     in place to a fixpoint; a certificate if a necessary condition fails.
 
-    ``pre[(k, l)]`` is ``L_{k-1}`` plus the lift of the forced graded value
+    ``pre[(k, l)]`` is the preimage in ``L_k`` of the forced graded value
     at jump ``k``, ``forced[(k, l)]`` the forced dimension of ``M_l ∩ L_k``.
     ``lb`` and ``ub`` hold the levels ``lo - 2 .. hi + 1``; only
-    ``lo .. hi - 1`` are refined.
+    ``lo .. hi - 1`` are refined.  ``ub[l]`` is large enough once the room
+    at the top jump, where L is the whole space, is.
     """
     jumps = lfilt.jumps()
     top = jumps[-1]
@@ -406,7 +410,7 @@ def _squeeze(
             lb[ell] = lb[ell].sum(lb[ell - 1]).sum(lb[ell + 2].image_under(matrix))
         for ell in range(lo, hi):
             for k in jumps:
-                cap = ub[ell].intersect(lfilt.value_at(k)).intersect(pre[(k, ell)])
+                cap = ub[ell].intersect(pre[(k, ell)])
                 need = forced[(k, ell)]
                 if cap.dim < need:
                     return NonexistenceCertificate(
@@ -430,13 +434,6 @@ def _squeeze(
                     None,
                     f"forced lower bound has dimension {lb[ell].dim} > forced total {total}",
                 )
-            if ub[ell].dim < total:
-                return NonexistenceCertificate(
-                    ell,
-                    "dimension-shortfall",
-                    None,
-                    f"upper bound has dimension {ub[ell].dim} < forced total {total}",
-                )
             for k in jumps:
                 got = lb[ell].intersect(lfilt.value_at(k)).dim
                 if got > forced[(k, ell)]:
@@ -451,24 +448,22 @@ def _squeeze(
 
 
 def _relative_axiom_failure(
-    m: Filtration,
-    op: NilpotentOperator,
-    pieces: Dict[int, QuotientPresentation],
-    graded_weights: Dict[int, Filtration],
+    m: Filtration, matrix: Matrix, lfilt: Filtration, pre: Dict[Tuple[int, int], Subspace], lo: int, hi: int
 ) -> Optional[Tuple[int, str]]:
-    """None if ``m`` satisfies both relative axioms, else (level, reason)."""
-    for ell in list(m.jumps()):
-        moved = m.value_at(ell).image_under(op.matrix)
+    """None if ``m`` satisfies both relative axioms, else (level, reason).
+
+    ``m`` induces the forced filtration on ``Gr^L_k`` iff, at each level,
+    ``(M_l ∩ L_k) + L_{<k} == pre[(k, l)]``: both are preimages in ``L_k``.
+    Below ``lo`` and from ``hi`` on, both sides are ``L_{<k}`` and ``L_k``.
+    """
+    for ell in m.jumps():
+        moved = m.value_at(ell).image_under(matrix)
         if not m.value_at(ell - 2).contains(moved):
             return ell, f"operator does not lower the candidate by two at level {ell}"
-    for k, piece in pieces.items():
-        want = graded_weights[k]
-        if piece.dim == 0:
-            continue
-        induced = m.induced_on(piece)
-        span = [w for w in want.jumps()] + [w for w in m.jumps()]
-        for ell in range(min(span) - 1, max(span) + 1):
-            if induced.value_at(ell) != want.value_at(ell):
+    for k in lfilt.jumps():
+        top, below = lfilt.value_at(k), lfilt.value_below(k)
+        for ell in range(lo, hi):
+            if m.value_at(ell).intersect(top).sum(below) != pre[(k, ell)]:
                 return ell, (
                     f"induced filtration on the graded piece at {k} deviates at level {ell}"
                 )
@@ -566,7 +561,7 @@ def graded_sum_decomposition(operators: Sequence[OperatorLike]) -> GradedSumRepo
     """Iterate absolute weight gradings and compare with the sum's grading.
 
     Grade by the weight filtration of the first operator (centered at 0),
-    induce the remaining operators on each piece, and recurse; the nested
+    grade each interval ``[W_{<k}, W_k]`` by the next one, and recurse; the nested
     piece at ``(k_1, ..., k_p)`` should assemble the graded piece of
     ``W(N_1 + ... + N_p)`` at ``k_1 + ... + k_p``.
 
@@ -581,19 +576,17 @@ def graded_sum_decomposition(operators: Sequence[OperatorLike]) -> GradedSumRepo
 
     nested: Dict[Tuple[int, ...], int] = {}
 
-    def recurse(mats: List[Matrix], prefix: Tuple[int, ...]) -> None:
-        w = monodromy_filtration(NilpotentOperator(mats[0]), center=0)
-        for k in w.jumps():
-            piece = w.graded_at(k)
-            if piece.dim == 0:
-                continue
-            if len(mats) == 1:
-                nested[prefix + (k,)] = piece.dim
+    # each interval is stable under the later operators, which commute
+    def recurse(a: Subspace, b: Subspace, depth: int, prefix: Tuple[int, ...]) -> None:
+        below = a
+        for k, value in _weight_steps(ops[depth], a, b, 0):
+            if depth == len(ops) - 1:
+                nested[prefix + (k,)] = value.dim - below.dim
             else:
-                rest = [piece.induced_matrix(m, piece) for m in mats[1:]]
-                recurse(rest, prefix + (k,))
+                recurse(below, value, depth + 1, prefix + (k,))
+            below = value
 
-    recurse([o.matrix for o in ops], ())
+    recurse(Subspace.zero(ops[0].dim), Subspace.full(ops[0].dim), 0, ())
 
     total_dims = _weight_of_sum(ops).graded_dims()
 

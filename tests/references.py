@@ -10,16 +10,27 @@ the loops that visited every interesting point and every permutation.  The
 Lefschetz functions validate operators, solve sl2 triples and build Weil
 elements in ambient coordinates, inverting the change of basis wherever
 they need it, as the library did before it kept one adapted frame per
-graded space.
+graded space.  The monodromy functions build weight filtrations from Jordan
+chain bases, and relative ones and nested graded dimensions in the coset
+coordinates of `QuotientPresentation`s of the graded pieces, as the library
+did before one lattice recursion built every weight filtration.
 """
 
 from fractions import Fraction
 from math import factorial
 from itertools import combinations, permutations
 
-from weightfilt.exact import GaussianRational, Matrix, image_of, solve_columns, sum_of
+from weightfilt.exact import GaussianRational, Matrix, Subspace, image_of, solve_columns, sum_of
+from weightfilt.filtration import Filtration
 from weightfilt.lefschetz import Sl2Action
-from weightfilt.monodromy import NilpotentOperator
+from weightfilt.monodromy import (
+    NilpotentOperator,
+    NonexistenceCertificate,
+    RelativeMonodromyResult,
+    UndeterminedRelativeFiltration,
+    jordan_chain_basis,
+    verify_weight_axioms,
+)
 from weightfilt.rees import FlatnessCertificate, is_regular_sequence, koszul_homology
 
 
@@ -285,3 +296,187 @@ def reference_weil_w(structure):
         ex = reference_exp_nilpotent(-triple.raise_op)
         out = out * ex * reference_exp_nilpotent(triple.lower_op) * ex
     return out
+
+
+def reference_monodromy_filtration(n, center=0):
+    """The weight filtration from a Jordan chain basis: an element t steps
+    down a chain of length m carries weight ``center + m - 1 - 2t``."""
+    op = n if isinstance(n, NilpotentOperator) else NilpotentOperator(n)
+    d = op.dim
+    weighted = [
+        (center + len(chain) - 1 - 2 * t, v)
+        for chain in jordan_chain_basis(op)
+        for t, v in enumerate(chain)
+    ]
+    levels = sorted({k for k, _ in weighted})
+    steps = [(k, Subspace.span([v for kk, v in weighted if kk <= k], d)) for k in levels]
+    out = Filtration(d, steps, center=center)
+    verify_weight_axioms(out, op)
+    return out
+
+
+def reference_relative_monodromy(n, lfilt):
+    """`relative_monodromy` in coset coordinates: each L-graded piece is a
+    `QuotientPresentation`, its forced filtration is the chain-based weight
+    filtration of the induced matrix, lifted vector by vector, and the
+    candidate is certified through `Filtration.induced_on`."""
+    op = n if isinstance(n, NilpotentOperator) else NilpotentOperator(n)
+    d = lfilt.ambient_dim
+    if op.dim != d:
+        raise ValueError("operator and filtration live on different spaces")
+    for k in lfilt.jumps():
+        if not lfilt.value_at(k).contains(lfilt.value_at(k).image_under(op.matrix)):
+            raise ValueError("operator does not preserve the auxiliary filtration")
+    jumps = lfilt.jumps()
+    if not jumps:
+        return RelativeMonodromyResult(True, Filtration(d, []), None)
+
+    pieces, graded_weights, max_exp = {}, {}, 1
+    for k in jumps:
+        piece = lfilt.graded_at(k)
+        pieces[k] = piece
+        ind_op = NilpotentOperator(piece.induced_matrix(op.matrix, piece))
+        max_exp = max(max_exp, ind_op.exponent)
+        graded_weights[k] = reference_monodromy_filtration(ind_op, center=k)
+    lo, hi = min(jumps) - max_exp, max(jumps) + max_exp
+
+    pre = {}
+    for k in jumps:
+        below = lfilt.value_at(k - 1)
+        for ell in range(lo, hi + 1):
+            lifts = [pieces[k].lift(b) for b in graded_weights[k].value_at(ell).basis]
+            pre[(k, ell)] = below.sum(Subspace.span(lifts, d))
+    forced = {
+        (k, ell): sum(graded_weights[kk].value_at(ell).dim for kk in jumps if kk <= k)
+        for k in jumps
+        for ell in range(lo, hi)
+    }
+
+    full, zero = Subspace.full(d), Subspace.zero(d)
+    ub, lb = {}, {}
+    for ell in range(lo - 2, hi + 2):
+        if ell < lo:
+            ub[ell], lb[ell] = zero, zero
+        elif ell >= hi:
+            ub[ell], lb[ell] = full, full
+        else:
+            ub[ell], lb[ell] = pre[(jumps[-1], ell)], pre[(jumps[0], ell)]
+
+    def refute(level, kind, msg):
+        return RelativeMonodromyResult(False, None, NonexistenceCertificate(level, kind, None, msg))
+
+    certificate = _reference_squeeze(op.matrix, lfilt, pre, forced, lb, ub, lo, hi)
+    if certificate is not None:
+        return RelativeMonodromyResult(False, None, certificate)
+    pinned = all(lb[ell] == ub[ell] for ell in range(lo, hi))
+    values = {}
+    if pinned:
+        values = {ell: lb[ell] for ell in range(lo, hi)}
+    else:
+        prev = zero
+        for ell in range(lo, hi):
+            cand = lb[ell].sum(prev)
+            target = forced[(jumps[-1], ell)]
+            if cand.dim > target:
+                return refute(ell, "dimension-overflow", "completion forced too many vectors")
+            if cand.dim < target:
+                ext = cand.extend_to(ub[ell])
+                cand = Subspace.span(list(cand.basis) + ext[: target - cand.dim], d)
+            values[ell] = prev = cand
+
+    candidate = Filtration(d, [(ell, values[ell]) for ell in range(lo, hi)] + [(hi, full)])
+    failure = _reference_relative_axiom_failure(candidate, op, pieces, graded_weights)
+    if failure is None:
+        return RelativeMonodromyResult(True, candidate, None)
+    if pinned:
+        return refute(failure[0], "axiom", f"unique candidate fails certification: {failure[1]}")
+    raise UndeterminedRelativeFiltration(
+        "the relative filtration is undetermined: bounds left freedom and the "
+        "canonical completion fails certification: "
+        + failure[1]
+    )
+
+
+def _reference_squeeze(matrix, lfilt, pre, forced, lb, ub, lo, hi):
+    """The bound sweeps with the room intersected with ``L_k`` as well,
+    and the separate test that each upper bound is large enough."""
+    jumps = lfilt.jumps()
+    top = jumps[-1]
+
+    def signature():
+        return tuple(ub[e].dim for e in sorted(ub)) + tuple(lb[e].dim for e in sorted(lb))
+
+    while True:
+        before = signature()
+        for ell in range(hi - 1, lo - 1, -1):
+            ub[ell] = ub[ell].intersect(ub[ell + 1]).intersect(ub[ell - 2].preimage_under(matrix))
+        for ell in range(lo, hi):
+            lb[ell] = lb[ell].sum(lb[ell - 1]).sum(lb[ell + 2].image_under(matrix))
+        for ell in range(lo, hi):
+            for k in jumps:
+                cap = ub[ell].intersect(lfilt.value_at(k)).intersect(pre[(k, ell)])
+                need = forced[(k, ell)]
+                if cap.dim < need:
+                    return NonexistenceCertificate(
+                        ell, "dimension-shortfall", k,
+                        f"room inside L at jump {k}, level {ell} is {cap.dim} < forced {need}",
+                    )
+                if cap.dim == need:
+                    lb[ell] = lb[ell].sum(cap)
+        for ell in range(lo, hi):
+            total = forced[(top, ell)]
+            if not ub[ell].contains(lb[ell]):
+                return NonexistenceCertificate(
+                    ell, "containment", None, f"forced vectors escape the upper bound at level {ell}"
+                )
+            if lb[ell].dim > total:
+                return NonexistenceCertificate(
+                    ell, "dimension-overflow", None,
+                    f"forced lower bound has dimension {lb[ell].dim} > forced total {total}",
+                )
+            if ub[ell].dim < total:
+                return NonexistenceCertificate(
+                    ell, "dimension-shortfall", None,
+                    f"upper bound has dimension {ub[ell].dim} < forced total {total}",
+                )
+            for k in jumps:
+                got = lb[ell].intersect(lfilt.value_at(k)).dim
+                if got > forced[(k, ell)]:
+                    return NonexistenceCertificate(
+                        ell, "dimension-overflow", k,
+                        f"forced vectors inside L at jump {k}, level {ell}: {got} > {forced[(k, ell)]}",
+                    )
+        if signature() == before:
+            return None
+
+
+def _reference_relative_axiom_failure(m, op, pieces, graded_weights):
+    for ell in m.jumps():
+        if not m.value_at(ell - 2).contains(m.value_at(ell).image_under(op.matrix)):
+            return ell, f"operator does not lower the candidate by two at level {ell}"
+    for k, piece in pieces.items():
+        want = graded_weights[k]
+        induced = m.induced_on(piece)
+        span = list(want.jumps()) + list(m.jumps())
+        for ell in range(min(span) - 1, max(span) + 1):
+            if induced.value_at(ell) != want.value_at(ell):
+                return ell, f"induced filtration on the graded piece at {k} deviates at level {ell}"
+    return None
+
+
+def reference_nested_dims(operators):
+    """The nested graded dimensions of `graded_sum_decomposition`, from the
+    matrices the later operators induce on each graded piece."""
+    nested = {}
+
+    def recurse(mats, prefix):
+        w = reference_monodromy_filtration(mats[0])
+        for k in w.jumps():
+            piece = w.graded_at(k)
+            if len(mats) == 1:
+                nested[prefix + (k,)] = piece.dim
+            else:
+                recurse([piece.induced_matrix(m, piece) for m in mats[1:]], prefix + (k,))
+
+    recurse(list(operators), ())
+    return nested

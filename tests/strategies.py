@@ -79,6 +79,23 @@ def nilpotent_matrices(draw, max_dim: int = 6) -> Matrix:
 
 
 @st.composite
+def gaussian_nilpotent_matrices(draw, max_dim: int = 5) -> Matrix:
+    """Strictly upper triangular with Gaussian integer entries, then
+    conjugated by a drawn shear whose coefficient may be ``±i``."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    entries = [
+        [GaussianRational(draw(small_ints), draw(small_ints)) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    m = Matrix(entries, n, n)
+    if n >= 2:
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        c = draw(st.sampled_from((GaussianRational(0, 1), GaussianRational(0, -1), GaussianRational(1, 1))))
+        m = _shear(n, i, j, c) * m * _shear(n, i, j, -c)
+    return m
+
+
+@st.composite
 def subspaces(draw, ambient_dim: Optional[int] = None) -> Subspace:
     n = ambient_dim if ambient_dim is not None else draw(st.integers(min_value=1, max_value=4))
     k = draw(st.integers(min_value=0, max_value=n))

@@ -19,9 +19,13 @@ rows without building a `Fraction`; the Koszul regularity route ranks no
 complex whose negative-degree components are all zero; a graded space
 inverts its change of basis once, so that validating a graded bilinear
 structure and deciding its polarization by both routes inverts no other
-matrix; and the exponential of a rational nilpotent matrix is summed on
-ints and builds one `Matrix`.  Each test here recomputes what is no longer
-checked at run time.
+matrix; the exponential of a rational nilpotent matrix is summed on
+ints and builds one `Matrix`; and every weight filtration, absolute or
+relative, and the nested graded dimensions of a commuting family are built
+on intervals of the subspace lattice, with no `QuotientPresentation` and no
+Jordan chain (the chain and coset-coordinate references are in
+references.py).  Each test here recomputes what is no longer checked at
+run time.
 """
 
 import fractions
@@ -35,7 +39,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weightfilt import exact
+from weightfilt import exact, monodromy
 from weightfilt.exact import Matrix, QuotientPresentation, Subspace, _sum_and_intersection, exp_nilpotent, kernel_of
 from weightfilt.filtration import Filtration, MultiFiltration, _subobject_compatibility_cached
 from weightfilt.fixtures import fixture_Vk, fixture_tensor_jordan
@@ -43,7 +47,10 @@ from weightfilt.lefschetz import GradedBilinearStructure, merge_slots, polarizat
 from weightfilt.monodromy import (
     NilpotentOperator,
     WeightAxiomFailure,
+    graded_sum_decomposition,
+    mf_property,
     monodromy_filtration,
+    relative_monodromy,
     verify_weight_axioms,
 )
 from weightfilt.nearby import MonodromicModule
@@ -188,6 +195,25 @@ def test_weight_axioms_build_no_presentations(monkeypatch):
     # the zero map passes axiom one and fails axiom two by rank at l = 2
     with pytest.raises(WeightAxiomFailure, match="does not induce an isomorphism"):
         verify_weight_axioms(w, Matrix.zero(3, 3))
+
+
+def test_weight_filtrations_build_no_presentations_or_chains(monkeypatch):
+    g = random_unimodular(random.Random(5), 6, rounds=4)
+    ops = [g * n * g.inverse() for n in fixture_tensor_jordan((2, 3)).operators()]
+    j2 = Matrix.from_rows([[0, 0], [1, 0]])
+    adjacent = Filtration(2, [(0, Subspace.span([(0, 1)], 2)), (1, Subspace.full(2))])
+    lfilt = monodromy_filtration(ops[1])
+
+    def refuse(*args):
+        raise AssertionError("built a Jordan chain basis")
+
+    _refuse_presentations(monkeypatch)
+    monkeypatch.setattr(monodromy, "jordan_chain_basis", refuse)
+    assert monodromy_filtration(ops[0], center=1).graded_dims() == {0: 3, 2: 3}
+    assert relative_monodromy(ops[0], lfilt).exists
+    assert not relative_monodromy(j2, adjacent).exists
+    assert mf_property(ops).holds
+    assert graded_sum_decomposition(ops).matches
 
 
 def test_rees_of_intersects_once_per_prefix_point(monkeypatch):

@@ -451,12 +451,83 @@ def _lines_family():
     ]
 
 
+def _jordan_sum(sizes):
+    """Lowering operators of strings, ``e_j -> e_{j-1}``, as one block sum."""
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    off = 0
+    for m in sizes:
+        for j in range(1, m):
+            rows[off + j - 1][off + j] = 1
+        off += m
+    return Matrix(rows, n, n)
+
+
+def _relative_case(case):
+    """A pinned, an open or a refuted ``check-relative`` input."""
+    if case == "pinned":
+        return _jordan_sum([3, 2]), Filtration(5, [(0, Subspace.full(5))])
+    if case == "open":
+        return _jordan_sum([3]), monodromy_filtration(_jordan_sum([3]), center=1)
+    # N = J2 (x) I_2 with adjacent L-jumps across which N is an isomorphism
+    kernel = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)], 4)
+    return _jordan_sum([2, 2]), Filtration(4, [(0, kernel), (1, Subspace.full(4))])
+
+
 class TestBasisChange:
     """A change of basis of the ambient space gives the same structured
-    report on every compatibility task and on ``check-lefschetz``:
-    verdicts, witnesses, box and every dimension depend on the input only
-    up to isomorphism.  The report digests of the compat-lattice and
-    polarized-hodge benchmark streams rely on this."""
+    report on every compatibility task, on ``check-lefschetz`` and on the
+    three monodromy tasks: verdicts, witnesses, box, certificates and every
+    dimension depend on the input only up to isomorphism.  The report
+    digests of the benchmark streams rely on this."""
+
+    @staticmethod
+    def _report(task, payload):
+        return emit_report(run_task(Document(task, payload)), "structured")
+
+    @given(m=strat.nilpotent_matrices(max_dim=5), center=st.integers(-2, 2), seed=st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_conjugated_operator_gives_identical_monodromy_report(self, m, center, seed):
+        g = strat.random_unimodular(random.Random(seed), m.rows, rounds=4)
+        before = self._report("check-monodromy", {"operator": matrix_to_json(m), "center": center})
+        moved = self._report("check-monodromy", {"operator": matrix_to_json(g * m * g.inverse()), "center": center})
+        assert moved == before
+
+    @pytest.mark.parametrize("case", ["pinned", "open", "refuted"])
+    @given(seed=st.integers(0, 2**32))
+    @settings(max_examples=15, deadline=None)
+    def test_conjugated_relative_problem_gives_identical_report(self, case, seed):
+        n, lfilt = _relative_case(case)
+        g = strat.random_unimodular(random.Random(seed), n.rows, rounds=4)
+        moved = Filtration(lfilt.ambient_dim, [(x, s.image_under(g)) for x, s in lfilt.steps], center=lfilt.center)
+        reports = [
+            self._report("check-relative", {"operator": matrix_to_json(op), "filtration": centered_filtration_to_json(lf)})
+            for op, lf in ((n, lfilt), (g * n * g.inverse(), moved))
+        ]
+        assert reports[1] == reports[0]
+        details = json.loads(reports[0])["details"]
+        assert ("certificate" in details) == (case == "refuted")
+
+    @pytest.mark.parametrize("case", ["holds", "differs", "refuted"])
+    @given(seed=st.integers(0, 2**32))
+    @settings(max_examples=15, deadline=None)
+    def test_conjugated_family_gives_identical_iterated_report(self, case, seed):
+        j2, j3 = _jordan_sum([2]), _jordan_sum([3])
+        ops = {
+            "holds": fixtures.fixture_tensor_jordan((2, 3)).operators(),
+            "differs": [-j2, j2],
+            "refuted": [j3, j3 * j3],
+        }[case]
+        g = strat.random_unimodular(random.Random(seed), ops[0].rows, rounds=4)
+        gi = g.inverse()
+        before, after = (
+            self._report("check-iterated", {"operators": [matrix_to_json(o) for o in family]})
+            for family in (ops, [g * o * gi for o in ops])
+        )
+        assert after == before
+        report = json.loads(before)
+        assert report["verdict"] == (case == "holds")
+        assert ("certificate" in report["details"]) == (case == "refuted")
 
     @given(
         mf=strat.multifiltrations(),

@@ -2,8 +2,11 @@
 
 The oracle used throughout is the closed-form description of the weight
 filtration as sums of (kernel of a power) ∩ (image of a power); the library
-itself constructs the filtration from chain bases, so agreement between the
-two is a genuine cross-check, not a tautology.
+itself builds the filtration by Deligne's recursion, one image and one
+preimage of a power per level, so agreement between the two is a genuine
+cross-check, not a tautology.  `TestAgainstReferences` also compares every
+weight filtration the library builds with the Jordan-chain and
+coset-coordinate constructions in references.py.
 """
 
 import random
@@ -14,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightfilt import monodromy
+from weightfilt.document import centered_filtration_from_json, matrix_from_json
 from weightfilt.exact import Matrix, Subspace, image_of
 from weightfilt.filtration import Filtration
 from weightfilt.monodromy import (
@@ -29,9 +33,18 @@ from weightfilt.monodromy import (
 )
 from weightfilt.fixtures import fixture_tensor_jordan
 
-from references import reference_image, reference_preimage, reference_zassenhaus
+from references import (
+    reference_image,
+    reference_monodromy_filtration,
+    reference_nested_dims,
+    reference_preimage,
+    reference_relative_monodromy,
+    reference_zassenhaus,
+)
+from test_cli import UNDETERMINED_RELATIVE_PAYLOAD
 from strategies import (
     block_diagonal,
+    gaussian_nilpotent_matrices,
     nilpotent_matrices,
     random_nilpotent,
     random_unimodular,
@@ -278,6 +291,11 @@ class TestRelativeMonodromy:
         with pytest.raises(ValueError):
             relative_monodromy(JORDAN_2, bottom)
 
+    def test_fraction_indices_are_refused_by_name(self):
+        bottom = Filtration(2, [(Fraction(1), Subspace.full(2))])
+        with pytest.raises(ValueError, match=r"integer indices, got Fraction\(1, 1\)"):
+            relative_monodromy(JORDAN_2, bottom)
+
     def test_operator_must_preserve_the_filtration(self):
         bottom = Filtration(
             2, [(0, Subspace.span([(0, 1)], 2)), (1, Subspace.full(2))], center=0
@@ -387,6 +405,95 @@ def test_bound_propagation_matches_reference(monkeypatch):
         except UndeterminedRelativeFiltration:
             pass
     assert all(split.values()), split
+
+
+def _moved(f, g):
+    return Filtration(f.ambient_dim, [(x, s.image_under(g)) for x, s in f.steps], center=f.center)
+
+
+def _relative_outcome(relative, n, lfilt):
+    """The filtration, the certificate's fields, or the undetermined text."""
+    try:
+        res = relative(n, lfilt)
+    except UndeterminedRelativeFiltration as exc:
+        return str(exc)
+    if res.exists:
+        return res.filtration
+    c = res.certificate
+    return c.level, c.kind, c.at_jump, c.message
+
+
+_CORPUS = list(_relative_corpus(random.Random(2024)))
+
+any_nilpotent = st.one_of(nilpotent_matrices(max_dim=5), gaussian_nilpotent_matrices(max_dim=4))
+
+
+class TestAgainstReferences:
+    """The one lattice recursion against the constructions it replaced:
+    Jordan chains for absolute filtrations, and coset coordinates, lifts and
+    induced matrices for relative filtrations and nested graded dimensions.
+    Each input is also tried after a change of basis.  Subspaces are
+    compared with ``==``: a Gaussian basis may hold ``GaussianRational(1, 0)``
+    where the reference holds ``Fraction(1)``."""
+
+    @given(m=any_nilpotent, center=st.integers(-2, 2), seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_weight_filtrations_match_jordan_chains(self, m, center, seed):
+        g = random_unimodular(random.Random(seed), m.rows, rounds=3)
+        for n in (m, g * m * g.inverse()):
+            assert monodromy_filtration(n, center) == reference_monodromy_filtration(n, center)
+
+    @given(case=st.sampled_from(range(len(_CORPUS))), seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_relative_outcomes_match_on_the_corpus(self, case, seed):
+        n, lfilt = _CORPUS[case]
+        g = random_unimodular(random.Random(seed), n.rows, rounds=3)
+        for op, lf in ((n, lfilt), (g * n * g.inverse(), _moved(lfilt, g))):
+            got = _relative_outcome(relative_monodromy, op, lf)
+            assert got == _relative_outcome(reference_relative_monodromy, op, lf)
+
+    @given(
+        m=any_nilpotent,
+        bottom=st.sampled_from(("n", "n^2")),
+        partner=st.sampled_from(((1, 0), (2, 0), (1, 1), (0, 1), (-1, 2))),
+        center=st.integers(-1, 1),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_relative_outcomes_match_on_polynomial_partners(self, m, bottom, partner, center, seed):
+        # a polynomial in m preserves the weight filtrations of m and m^2
+        lfilt = monodromy_filtration(m if bottom == "n" else m * m, center)
+        op = partner[0] * m + partner[1] * (m * m)
+        g = random_unimodular(random.Random(seed), m.rows, rounds=3)
+        for n, lf in ((op, lfilt), (g * op * g.inverse(), _moved(lfilt, g))):
+            got = _relative_outcome(relative_monodromy, n, lf)
+            assert got == _relative_outcome(reference_relative_monodromy, n, lf)
+
+    @given(seed=st.integers(0, 2**32))
+    @settings(max_examples=20, deadline=None)
+    def test_undetermined_texts_match(self, seed):
+        n = matrix_from_json(UNDETERMINED_RELATIVE_PAYLOAD["operator"], "$")
+        lfilt = centered_filtration_from_json(UNDETERMINED_RELATIVE_PAYLOAD["filtration"], "$")
+        g = random_unimodular(random.Random(seed), n.rows, rounds=3)
+        got = _relative_outcome(relative_monodromy, n, lfilt)
+        assert got.startswith("the relative filtration is undetermined")
+        assert got == _relative_outcome(reference_relative_monodromy, n, lfilt)
+        # the completion of open bounds depends on the basis, so a
+        # conjugate need not be undetermined; it must still match
+        op, lf = g * n * g.inverse(), _moved(lfilt, g)
+        assert _relative_outcome(relative_monodromy, op, lf) == _relative_outcome(reference_relative_monodromy, op, lf)
+
+    @given(m=any_nilpotent, data=st.data(), seed=st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_nested_dims_match_induced_matrices(self, m, data, seed):
+        rng = random.Random(seed)
+        if data.draw(st.booleans()):
+            ops = [m, m * m, 2 * m + m * m][: data.draw(st.integers(2, 3))]
+        else:
+            ops = list(TestIteratedWeights._commuting_pair(rng, rng.randint(2, 4)))
+        g = random_unimodular(rng, ops[0].rows, rounds=3)
+        for family in (ops, [g * o * g.inverse() for o in ops]):
+            assert graded_sum_decomposition(family).nested_dims == reference_nested_dims(family)
 
 
 class TestIteratedWeights:

@@ -9,8 +9,9 @@ what the golden-file tests pin down.
 
 Exit-code contract used by the command line: 0 when the requested check
 passes, 1 when the mathematics says no (a failed verdict is still a
-successful computation), 2 for malformed or oversized input and for a
-relative filtration the search leaves undetermined.
+successful computation), 2 for malformed or oversized input.  A relative
+filtration is always decided: it is constructed, or refuted with a
+certificate.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from .filtration import (
     compatible_filtrations,
 )
 from .lefschetz import GradedBilinearStructure, GradedSpace, polarization_check
-from .monodromy import (
-    UndeterminedRelativeFiltration,
-    mf_property,
-    monodromy_filtration,
-    relative_monodromy,
-)
+from .monodromy import mf_property, monodromy_filtration, relative_monodromy
 from .rees import compatibility_via_flatness, koszul_homology, rees_of
 from .fixtures import MAX_FIXTURE_SIZE, fixture_nilsson, fixture_summary
 
@@ -358,9 +354,7 @@ def run_task(doc: Document) -> Dict[str, object]:
     The report always carries the format tag, the task, a boolean
     ``verdict``, and task-specific ``details``.  Precondition violations
     (non-nilpotent operators, non-commuting families, bad shapes) surface
-    as `DocumentError`, distinct from negative verdicts, and so does an
-    `UndeterminedRelativeFiltration`: it is neither a proof nor a
-    refutation.
+    as `DocumentError`, distinct from negative verdicts.
     """
     p = doc.payload
     path = "$.payload"
@@ -381,7 +375,7 @@ def run_task(doc: Document) -> Dict[str, object]:
         lf = centered_filtration_from_json(_get(p, "filtration", path), f"{path}.filtration")
         try:
             res = relative_monodromy(op, lf)
-        except (ValueError, UndeterminedRelativeFiltration) as exc:
+        except ValueError as exc:
             raise DocumentError(path, str(exc)) from None
         verdict = res.exists
         if res.exists:
@@ -406,8 +400,6 @@ def run_task(doc: Document) -> Dict[str, object]:
             rep = mf_property(ops)
         except ValueError as exc:
             raise DocumentError(f"{path}.operators", str(exc)) from None
-        except UndeterminedRelativeFiltration as exc:
-            raise DocumentError(path, str(exc)) from None
         verdict = rep.holds
         details = {"total": _centered_summary(rep.total)}
         if rep.iterated is not None:

@@ -12,11 +12,13 @@ certificate rather than a trusted byproduct.
 The relative weight filtration of N with respect to an auxiliary filtration
 L (when it exists) is the filtration inducing, on each L-graded piece, the
 absolute weight filtration of the induced operator centered at the piece
-index, while still satisfying the N-shift axiom.  Existence is genuinely
-non-trivial: `relative_monodromy` squeezes the solution between necessary
-lower and upper bounds; any violated necessity yields a sound
-non-existence certificate, and a pinned candidate is certified before
-being returned.
+index, while still satisfying the N-shift axiom.  It is unique when it
+exists, and `relative_monodromy` builds the only candidate from images,
+preimages, sums and intersections (Steenbrink–Zucker, *Invent. Math.* 80,
+1985, §2; Deligne, *Weil II*, 1.6.13), then certifies it.  A candidate
+that fails proves that no solution exists; the refutation then names a
+violated necessary condition where squeezing the solution between lower
+and upper bounds finds one, and the failed axiom otherwise.
 
 `mf_property` tests whether iterating relative filtrations right-to-left
 over a commuting family reproduces the weight filtration of the sum.
@@ -224,8 +226,11 @@ def monodromy_filtration(n: OperatorLike, center: int = 0) -> Filtration:
 class NonexistenceCertificate(Immutable):
     """Why no relative weight filtration can exist.
 
-    Every recorded reason is a *necessary* condition on any solution, so
-    the certificate is sound by construction.
+    Every recorded reason but ``"axiom"`` is a *necessary* condition on any
+    solution, so the certificate is sound by construction.  An ``"axiom"``
+    certificate names the axiom that the only possible candidate fails: the
+    unique one the bounds pin, or else the one `relative_monodromy`
+    constructs, which is every solution there is (Steenbrink–Zucker §2).
     """
 
     __slots__ = ("level", "kind", "at_jump", "message")
@@ -264,30 +269,20 @@ class RelativeMonodromyResult(Immutable):
         return f"RelativeMonodromyResult(not exists, {self.certificate!r})"
 
 
-class UndeterminedRelativeFiltration(RuntimeError):
-    """The bound-squeezing search neither pinned a solution nor refuted one.
-
-    Raised only when residual freedom remains after constraint propagation
-    and the canonical completion fails certification; callers treating this
-    as non-existence would be unsound.
-    """
-
-
 def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyResult:
     """The weight filtration of N relative to L, or a refutation.
 
     Any solution M must satisfy, for every level ℓ and every L-jump k:
 
     * ``M`` induces on the L-graded piece at k the absolute weight
-      filtration of the induced operator centered at k — which forces
-      ``dim(M_l ∩ L_k)`` exactly, and squeezes ``M_l`` between explicit
-      lower and upper bounds;
+      filtration of the induced operator centered at k, which is
+      `_weight_steps` on ``[L_{<k}, L_k]``;
     * ``N M_l <= M_{l-2}`` and ``M_{l-1} <= M_l``.
 
-    The forced filtration of the piece at k, read in V, is `_weight_steps`
-    on ``[L_{<k}, L_k]``.  The bounds are refined to a fixpoint.  Violations
-    refute existence (with a certificate); pinned bounds produce a candidate
-    that is then certified against both requirements before being accepted.
+    `_complete` builds the only candidate and both requirements are
+    certified before it is returned.  If it fails, no solution exists: the
+    certificate comes from `_squeeze`, which refines lower and upper bounds
+    on ``M_l`` to a fixpoint, or else names the candidate's failed axiom.
     """
     op = _as_operator(n)
     d = lfilt.ambient_dim
@@ -308,73 +303,71 @@ def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyR
     lo = min(jumps) - max_exp
     hi = max(jumps) + max_exp
 
-    # Necessary data: the forced filtration of each graded piece read in V,
-    # and the forced cumulative dimensions of ``M_l ∩ L_k``.
+    # the forced filtration of each graded piece, read in V
     pre = {(k, ell): step_value(weights[k], bottoms[k], ell) for k in jumps for ell in range(lo, hi + 1)}
+    full = Subspace.full(d)
+    values = _complete(op, weights, pre, lo, hi)
+    candidate = Filtration(d, [(ell, values[ell]) for ell in range(lo, hi)] + [(hi, full)])
+    failure = _relative_axiom_failure(candidate, op.matrix, lfilt, pre, lo, hi)
+    if failure is None:
+        return RelativeMonodromyResult(True, candidate, None)
+
+    # No solution exists, since the construction is complete.  The squeeze
+    # names a violated necessary condition where it finds one; its forced
+    # cumulative dimensions of ``M_l ∩ L_k`` are needed only here.
     forced = {
         (k, ell): sum(pre[(kk, ell)].dim - bottoms[kk].dim for kk in jumps if kk <= k)
         for k in jumps
         for ell in range(lo, hi)
     }
-
-    ub: Dict[int, Subspace] = {}
-    lb: Dict[int, Subspace] = {}
-    full = Subspace.full(d)
-    zero = Subspace.zero(d)
-    top_jump, bottom_jump = jumps[-1], jumps[0]
-    # one zero level below and one full level above the range, so that both
-    # sweeps read ``ub[ell - 2]`` and ``lb[ell + 2]`` without boundary cases
-    for ell in range(lo - 2, hi + 2):
-        if ell < lo:
-            ub[ell], lb[ell] = zero, zero
-        elif ell >= hi:
-            ub[ell], lb[ell] = full, full
-        else:
-            ub[ell] = pre[(top_jump, ell)]
-            lb[ell] = pre[(bottom_jump, ell)]
-
+    # two zero levels below and two full levels above the range, so that
+    # both sweeps read ``ub[ell - 2]`` and ``lb[ell + 2]`` without boundary cases
+    edges = {lo - 2: Subspace.zero(d), lo - 1: Subspace.zero(d), hi: full, hi + 1: full}
+    lb = {**edges, **{ell: pre[(jumps[0], ell)] for ell in range(lo, hi)}}
+    ub = {**edges, **{ell: pre[(jumps[-1], ell)] for ell in range(lo, hi)}}
     certificate = _squeeze(op.matrix, lfilt, pre, forced, lb, ub, lo, hi)
-    if certificate is not None:
-        return RelativeMonodromyResult(False, None, certificate)
-
-    pinned = all(lb[ell] == ub[ell] for ell in range(lo, hi))
-    values: Dict[int, Subspace] = {}
-    if pinned:
-        for ell in range(lo, hi):
-            values[ell] = lb[ell]
-    else:
-        prev = zero
-        for ell in range(lo, hi):
-            base = lb[ell].sum(prev)
-            target = forced[(top_jump, ell)]
-            if base.dim > target:
-                return RelativeMonodromyResult(False, None, NonexistenceCertificate(
-                    ell, "dimension-overflow", None, "completion forced too many vectors"
-                ))
-            room = ub[ell]
-            cand = base
-            if cand.dim < target:
-                ext = cand.extend_to(room)
-                cand = Subspace.span(list(cand.basis) + ext[: target - cand.dim], d)
-            values[ell] = cand
-            prev = cand
-
-    steps = [(ell, values[ell]) for ell in range(lo, hi)] + [(hi, full)]
-    candidate = Filtration(d, steps)
-
-    failure = _relative_axiom_failure(candidate, op.matrix, lfilt, pre, lo, hi)
-    if failure is None:
-        return RelativeMonodromyResult(True, candidate, None)
-    if pinned:
+    if certificate is None:
+        which = "constructed"
+        if all(lb[ell] == ub[ell] for ell in range(lo, hi)):
+            which = "unique"
+            pinned = Filtration(d, [(ell, lb[ell]) for ell in range(lo, hi)] + [(hi, full)])
+            failure = _relative_axiom_failure(pinned, op.matrix, lfilt, pre, lo, hi)
         level, msg = failure
-        return RelativeMonodromyResult(False, None, NonexistenceCertificate(
-            level, "axiom", None, f"unique candidate fails certification: {msg}"
-        ))
-    raise UndeterminedRelativeFiltration(
-        "the relative filtration is undetermined: bounds left freedom and the "
-        "canonical completion fails certification: "
-        + failure[1]
-    )
+        certificate = NonexistenceCertificate(level, "axiom", None, f"{which} candidate fails certification: {msg}")
+    return RelativeMonodromyResult(False, None, certificate)
+
+
+def _complete(
+    op: NilpotentOperator, weights: Dict[int, List[Tuple[Index, Subspace]]],
+    pre: Dict[Tuple[int, int], Subspace], lo: int, hi: int,
+) -> Dict[int, Subspace]:
+    """The only candidate for the relative weight filtration, at the levels
+    ``lo .. hi - 1``, built jump by jump of L.
+
+    Let ``M^A`` be the candidate on ``A = L_{<k}``.  The vectors of
+    ``S_j = pre[(k, k + j)] ∩ (N^{j+1})^{-1} M^A_{k-j-2}`` lie in
+    ``M_{k+j}`` for any solution M, since ``M ∩ A = M^A`` (Steenbrink–Zucker
+    §2); so ``N^i S_j`` lies in ``M_{k+j-2i}``.  Every primitive vector of
+    ``Gr^L_k`` of degree j lifts into ``S_j``, so these sums reach the
+    dimension of M: the candidate is M whenever M exists.
+    """
+    zero = Subspace.zero(op.dim)
+    values = {ell: zero for ell in range(lo, hi)}
+    for k, steps in weights.items():
+        fresh: Dict[int, List[Subspace]] = {}
+        for j in range(steps[-1][0] - k + 1):
+            below = values.get(k - j - 2, zero)
+            moved = pre[(k, k + j)].intersect(below.preimage_under(op.power(j + 1)))
+            level = k + j
+            while not moved.is_zero():
+                fresh.setdefault(max(level, lo), []).append(moved)
+                moved, level = moved.image_under(op.matrix), level - 2
+        added = zero
+        for ell in range(lo, hi):
+            for moved in fresh.get(ell, ()):
+                added = added.sum(moved)
+            values[ell] = values[ell].sum(added)
+    return values
 
 
 def _squeeze(

@@ -321,6 +321,14 @@ def _image_sums(rees: ReesModule, varset: FrozenSet[int]) -> Dict[Point, Subspac
     return rees._cache[key]  # type: ignore[return-value]
 
 
+def _support(rees: ReesModule) -> List[Point]:
+    """The interesting points whose piece is nonzero."""
+    key = ("support",)
+    if key not in rees._cache:
+        rees._cache[key] = [p for p in rees.interesting_points() if rees.piece_dims[p]]
+    return rees._cache[key]  # type: ignore[return-value]
+
+
 def _step_injective(rees: ReesModule, varset: FrozenSet[int], nxt: int) -> bool:
     """Is the next variable injective on the quotient by ``varset``?
 
@@ -328,6 +336,7 @@ def _step_injective(rees: ReesModule, varset: FrozenSet[int], nxt: int) -> bool:
     ``x(W_{p-e}) <= W_p`` because x commutes with each ``x_j`` in ``varset``.
     So x is injective at ``p - e`` iff
     ``dim(x(M_{p-e}) + W_p) - dim W_p == dim M_{p-e} - dim W_{p-e}``.
+    Only a nonzero source piece can fail, so the walk runs over the support.
     """
     key = ("inj", varset, nxt)
     cached = rees._cache.get(key)
@@ -335,15 +344,12 @@ def _step_injective(rees: ReesModule, varset: FrozenSet[int], nxt: int) -> bool:
         return cached  # type: ignore[return-value]
     sums = _image_sums(rees, varset)
     verdict = True
-    for p, w in sums.items():
-        src_p = rees._shift(p, nxt, -1)
-        src_w = sums.get(src_p)
-        if src_w is None:
-            # only happens below the box, where the source piece is zero
-            assert rees.piece_dim(src_p) == 0
-            continue
-        src_dim = rees.piece_dim(src_p) - src_w.dim
-        if src_dim == 0:
+    for src_p in _support(rees):
+        p = rees._shift(src_p, nxt, 1)
+        w = sums.get(p)
+        src_dim = rees.piece_dims[src_p] - sums[src_p].dim
+        if w is None or src_dim == 0:
+            # past the interesting points the top slice repeats
             continue
         rank = image_of(rees.map_matrix(p, nxt)).sum(w).dim - w.dim
         if rank != src_dim:
@@ -363,7 +369,7 @@ def _koszul_points(rees: ReesModule, varset: FrozenSet[int]) -> Set[Point]:
     appear: dilating only raises coordinates, so it never comes back.
     """
     tops = [hi - 1 if sat else hi for (_, hi), sat in zip(rees.box, rees.saturated_top)]
-    reach = {p for p in rees.interesting_points() if rees.piece_dims[p]}
+    reach = set(_support(rees))
     hit: Set[Point] = set()
     for v in varset:
         step = {rees._shift(p, v, 1) for p in reach if p[v] < tops[v]}

@@ -13,7 +13,9 @@ they need it, as the library did before it kept one adapted frame per
 graded space.  The monodromy functions build weight filtrations from Jordan
 chain bases, and relative ones and nested graded dimensions in the coset
 coordinates of `QuotientPresentation`s of the graded pieces, as the library
-did before one lattice recursion built every weight filtration.
+did before one lattice recursion built every weight filtration; the relative
+one still completes open bounds greedily, so it may be undetermined or
+refute falsely where the library's construction decides.
 """
 
 from fractions import Fraction
@@ -27,11 +29,16 @@ from weightfilt.monodromy import (
     NilpotentOperator,
     NonexistenceCertificate,
     RelativeMonodromyResult,
-    UndeterminedRelativeFiltration,
     jordan_chain_basis,
     verify_weight_axioms,
 )
 from weightfilt.rees import FlatnessCertificate, is_regular_sequence, koszul_homology
+
+
+class UndeterminedRelativeFiltration(RuntimeError):
+    """Raised by `reference_relative_monodromy` when its bounds leave
+    freedom and its greedy completion fails certification: that outcome
+    neither proves nor refutes existence."""
 
 
 def as_exact(x):
@@ -331,13 +338,7 @@ def reference_relative_monodromy(n, lfilt):
     if not jumps:
         return RelativeMonodromyResult(True, Filtration(d, []), None)
 
-    pieces, graded_weights, max_exp = {}, {}, 1
-    for k in jumps:
-        piece = lfilt.graded_at(k)
-        pieces[k] = piece
-        ind_op = NilpotentOperator(piece.induced_matrix(op.matrix, piece))
-        max_exp = max(max_exp, ind_op.exponent)
-        graded_weights[k] = reference_monodromy_filtration(ind_op, center=k)
+    pieces, graded_weights, max_exp = _reference_pieces(op, lfilt)
     lo, hi = min(jumps) - max_exp, max(jumps) + max_exp
 
     pre = {}
@@ -395,6 +396,28 @@ def reference_relative_monodromy(n, lfilt):
         "canonical completion fails certification: "
         + failure[1]
     )
+
+
+def _reference_pieces(op, lfilt):
+    """Each L-graded piece as a `QuotientPresentation`, the chain-based
+    weight filtration of the induced matrix centered at its jump, and the
+    largest exponent of an induced operator."""
+    pieces, graded_weights, max_exp = {}, {}, 1
+    for k in lfilt.jumps():
+        piece = lfilt.graded_at(k)
+        pieces[k] = piece
+        ind_op = NilpotentOperator(piece.induced_matrix(op.matrix, piece))
+        max_exp = max(max_exp, ind_op.exponent)
+        graded_weights[k] = reference_monodromy_filtration(ind_op, center=k)
+    return pieces, graded_weights, max_exp
+
+
+def reference_relative_failure(n, lfilt, m):
+    """None if ``m`` is a weight filtration of N relative to L, checked in
+    coset coordinates, else (level, reason)."""
+    op = n if isinstance(n, NilpotentOperator) else NilpotentOperator(n)
+    pieces, graded_weights, _ = _reference_pieces(op, lfilt)
+    return _reference_relative_axiom_failure(m, op, pieces, graded_weights)
 
 
 def _reference_squeeze(matrix, lfilt, pre, forced, lb, ub, lo, hi):

@@ -206,6 +206,33 @@ def random_filtration(rng: random.Random, dim: int, max_jumps: int = 3) -> Filtr
     return Filtration(dim, steps)
 
 
+def random_orbit_problem(rng: random.Random) -> Tuple[Matrix, Filtration]:
+    """A relative weight filtration problem ``(N, L)``: N a nilpotent in
+    Jordan form of dimension 2-7, L with 1-3 jumps whose values below the
+    top are spans of N-orbits of random vectors, both moved by a random
+    unimodular change of basis."""
+    dim = rng.randint(2, 7)
+    rows = [[0] * dim for _ in range(dim)]
+    top = 0
+    while top < dim:
+        size = rng.randint(1, dim - top)
+        for j in range(top + 1, top + size):
+            rows[j - 1][j] = 1
+        top += size
+    n = Matrix(rows, dim, dim)
+    levels = sorted(rng.sample(range(-3, 3), rng.randint(1, 3)))
+    steps, orbits = [(levels[-1], Subspace.full(dim))], []
+    for k in levels[:-1]:
+        v = [rng.randint(-1, 1) for _ in range(dim)]
+        for _ in range(dim):
+            orbits.append(v)
+            v = n.apply(v)
+        steps.append((k, Subspace.span(orbits, dim)))
+    g = random_unimodular(rng, dim, rounds=3)
+    # `Filtration` keeps only the strict jumps
+    return g * n * g.inverse(), Filtration(dim, [(k, s.image_under(g)) for k, s in steps])
+
+
 def block_diagonal(mats: Sequence[Matrix]) -> Matrix:
     n = sum(m.rows for m in mats)
     grid = [[Fraction(0)] * n for _ in range(n)]

@@ -16,7 +16,8 @@ them again, and `QuotientPresentation.reduce`, `induced_matrix` and
 `Subspace.coordinates_of` read coordinates at pivots without solving a
 linear system; rational `Subspace` lattice operations work on integer
 rows without building a `Fraction`; the Koszul regularity route ranks no
-complex whose negative-degree components are all zero; a graded space
+complex whose negative-degree components are all zero, and the injectivity
+route visits no point whose source piece is zero; a graded space
 inverts its change of basis once, so that validating a graded bilinear
 structure and deciding its polarization by both routes inverts no other
 matrix; the exponential of a rational nilpotent matrix is summed on
@@ -55,7 +56,7 @@ from weightfilt.monodromy import (
 )
 from weightfilt.nearby import MonodromicModule
 from weightfilt import rees as rees_module
-from weightfilt.rees import KoszulComplexData, ReesModule, _koszul_prefix_exact, is_flat, rees_of
+from weightfilt.rees import KoszulComplexData, ReesModule, _image_sums, _koszul_prefix_exact, _step_injective, is_flat, rees_of
 
 from references import reference_exp_nilpotent
 from strategies import (
@@ -259,6 +260,32 @@ def test_koszul_route_visits_only_points_with_negative_components(monkeypatch):
             assert calls == [(seq, p) for p in want]
             visited += len(want)
     assert visited
+
+
+@pytest.mark.parametrize("mf", ["seeded", "eight-lines"])
+def test_injectivity_step_visits_only_nonzero_sources(monkeypatch, mf):
+    # a zero source piece cannot fail the step, so each step shifts at most
+    # one point per nonzero piece, and reads at most one map there
+    if mf == "seeded":
+        rees = rees_of(_seeded_mf())
+    else:
+        rees = rees_of(MultiFiltration([Filtration.trivial(1)] * 8))
+    support = [p for p in rees.interesting_points() if rees.piece_dim(p)]
+    steps = [(frozenset(range(k)), k) for k in range(rees.nvars)]
+    for varset, _ in steps:
+        _image_sums(rees, varset)
+    shifts = []
+    shift = ReesModule._shift
+
+    def counting(p, i, d):
+        shifts.append(p)
+        return shift(p, i, d)
+
+    monkeypatch.setattr(ReesModule, "_shift", staticmethod(counting))
+    for varset, nxt in steps:
+        _step_injective(rees, varset, nxt)
+    assert len(shifts) <= 2 * len(support) * len(steps)
+    assert len(rees.interesting_points()) > 2 * len(support)
 
 
 def test_koszul_complex_multiplies_no_differentials(monkeypatch):

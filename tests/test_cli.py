@@ -2,16 +2,27 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 from click.testing import CliRunner
 
 from weightfilt.cli import main
+from weightfilt.document import (
+    centered_filtration_from_json,
+    centered_filtration_to_json,
+    matrix_from_json,
+    matrix_to_json,
+)
+from weightfilt.filtration import Filtration
+
+from strategies import random_unimodular
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-# The relative filtration of this operator over this L is undetermined: the
-# bounds leave freedom, and the canonical completion fails certification.
+# The bound squeeze leaves freedom in the relative filtration of this
+# operator over this L, and a greedy completion of the bounds fails
+# certification in most bases; the construction decides it in every basis.
 UNDETERMINED_RELATIVE_PAYLOAD = {
     "operator": [
         ["0", "-1", "0", "0", "0"],
@@ -111,14 +122,21 @@ class TestExitCodes:
         assert "input error: $.payload: no sl2 completion" in res.stderr
 
 
-    def test_undetermined_relative_filtration_is_two(self, runner, tmp_path):
-        doc = {"format": "weightfilt.v1", "task": "check-relative", "payload": UNDETERMINED_RELATIVE_PAYLOAD}
-        p = tmp_path / "undetermined.json"
-        p.write_text(json.dumps(doc))
-        res = runner.invoke(main, ["check", "relmono", "--input", str(p)])
-        assert res.exit_code == 2
-        assert "input error: $.payload: the relative filtration is undetermined" in res.stderr
-        assert "does not exist" not in res.stderr
+    def test_open_bound_relative_filtration_is_zero_in_every_basis(self, runner, tmp_path):
+        n = matrix_from_json(UNDETERMINED_RELATIVE_PAYLOAD["operator"], "$")
+        lfilt = centered_filtration_from_json(UNDETERMINED_RELATIVE_PAYLOAD["filtration"], "$")
+        outputs = set()
+        for seed in range(60):
+            g = random_unimodular(random.Random(seed), n.rows, rounds=3)
+            moved = Filtration(lfilt.ambient_dim, [(x, s.image_under(g)) for x, s in lfilt.steps])
+            payload = {"operator": matrix_to_json(g * n * g.inverse()), "filtration": centered_filtration_to_json(moved)}
+            p = tmp_path / f"relative_{seed}.json"
+            p.write_text(json.dumps({"format": "weightfilt.v1", "task": "check-relative", "payload": payload}))
+            res = runner.invoke(main, ["check", "relmono", "--input", str(p), "--format", "structured"])
+            assert res.exit_code == 0, res.stderr
+            outputs.add(res.output)
+        assert len(outputs) == 1
+        assert json.loads(outputs.pop())["verdict"] is True
 
     @pytest.mark.parametrize(
         "args,path",

@@ -17,12 +17,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightfilt import monodromy
-from weightfilt.document import centered_filtration_from_json, matrix_from_json
+from weightfilt.document import (
+    Document,
+    centered_filtration_from_json,
+    centered_filtration_to_json,
+    emit_report,
+    matrix_from_json,
+    matrix_to_json,
+    run_task,
+)
 from weightfilt.exact import Matrix, Subspace, image_of
-from weightfilt.filtration import Filtration
+from weightfilt.filtration import Filtration, step_value
 from weightfilt.monodromy import (
     NilpotentOperator,
-    UndeterminedRelativeFiltration,
     WeightAxiomFailure,
     graded_sum_decomposition,
     jordan_chain_basis,
@@ -34,10 +41,12 @@ from weightfilt.monodromy import (
 from weightfilt.fixtures import fixture_tensor_jordan
 
 from references import (
+    UndeterminedRelativeFiltration,
     reference_image,
     reference_monodromy_filtration,
     reference_nested_dims,
     reference_preimage,
+    reference_relative_failure,
     reference_relative_monodromy,
     reference_zassenhaus,
 )
@@ -47,6 +56,7 @@ from strategies import (
     gaussian_nilpotent_matrices,
     nilpotent_matrices,
     random_nilpotent,
+    random_orbit_problem,
     random_unimodular,
 )
 
@@ -73,6 +83,68 @@ JORDAN_2 = Matrix([[0, 1], [0, 0]])
 JORDAN_3_PLUS_1 = Matrix(
     [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
 )
+
+# A greedy completion of this problem's open bounds overflows a level and
+# refutes falsely, in this basis; the filtration exists.
+GREEDY_OVERFLOW_PAYLOAD = {
+    "operator": [
+        ["0", "0", "0", "0", "0", "0", "0"],
+        ["0", "0", "0", "0", "-1", "0", "0"],
+        ["0", "1", "0", "0", "0", "1", "0"],
+        ["0", "0", "0", "0", "0", "0", "0"],
+        ["0", "-1", "0", "1", "0", "-1", "0"],
+        ["0", "0", "0", "0", "1", "0", "0"],
+        ["0", "0", "0", "0", "0", "1", "0"],
+    ],
+    "filtration": {
+        "ambient_dim": 7,
+        "steps": [
+            {"index": -2, "basis": [
+                ["1", "0", "0", "-1", "0", "0", "0"], ["0", "1", "0", "0", "0", "-1", "0"],
+                ["0", "0", "0", "0", "1", "0", "0"], ["0", "0", "0", "0", "0", "0", "1"],
+            ]},
+            {"index": -1, "basis": [
+                ["1", "0", "0", "0", "0", "2", "0"], ["0", "1", "0", "0", "0", "-1", "0"],
+                ["0", "0", "1", "0", "0", "0", "0"], ["0", "0", "0", "1", "0", "2", "0"],
+                ["0", "0", "0", "0", "1", "0", "0"], ["0", "0", "0", "0", "0", "0", "1"],
+            ]},
+            {"index": 1, "basis": [[str(int(i == j)) for j in range(7)] for i in range(7)]},
+        ],
+    },
+}
+
+# No relative filtration exists here, and the bound squeeze neither refutes
+# nor pins one; a greedy completion of the bounds fails certification.
+OPEN_REFUTED_PAYLOAD = {
+    "operator": [
+        ["0", "1", "0", "0", "0", "0", "0"],
+        ["0", "0", "1", "1", "0", "0", "0"],
+        ["0", "0", "0", "1", "0", "0", "0"],
+        ["0", "0", "0", "0", "0", "0", "0"],
+        ["0", "-1", "0", "0", "0", "1", "0"],
+        ["0", "0", "1", "1", "0", "0", "0"],
+        ["0", "0", "0", "0", "0", "0", "0"],
+    ],
+    "filtration": {
+        "ambient_dim": 7,
+        "steps": [
+            {"index": -3, "basis": [
+                ["1", "0", "0", "0", "0", "0", "0"], ["0", "1", "0", "0", "0", "1", "0"],
+                ["0", "0", "1", "0", "-1", "0", "0"], ["0", "0", "0", "1", "1", "-1", "-1"],
+            ]},
+            {"index": -2, "basis": [
+                ["1", "0", "0", "0", "0", "0", "0"], ["0", "1", "0", "0", "0", "1", "0"],
+                ["0", "0", "1", "0", "0", "0", "0"], ["0", "0", "0", "1", "0", "-1", "-1"],
+                ["0", "0", "0", "0", "1", "0", "0"],
+            ]},
+            {"index": -1, "basis": [[str(int(i == j)) for j in range(7)] for i in range(7)]},
+        ],
+    },
+}
+
+
+def _problem(payload):
+    return matrix_from_json(payload["operator"], "$"), centered_filtration_from_json(payload["filtration"], "$")
 
 
 class TestNilpotentOperator:
@@ -277,14 +349,29 @@ class TestRelativeMonodromy:
             n = random_nilpotent(rng, dim)
             w_abs = monodromy_filtration(n)
             # use the absolute filtration itself as the bottom: always exists
-            try:
-                res = relative_monodromy(n, w_abs)
-            except UndeterminedRelativeFiltration:
-                continue
+            res = relative_monodromy(n, w_abs)
             if res.exists:
                 found += 1
                 self._recheck_relative_axioms(n, w_abs, res.filtration)
         assert found > 0
+
+    def test_greedy_overflow_problem_has_its_filtration(self):
+        n, lfilt = _problem(GREEDY_OVERFLOW_PAYLOAD)
+        res = relative_monodromy(n, lfilt)
+        assert res.exists
+        assert [(k, s.dim) for k, s in res.filtration.steps] == [(-5, 1), (-3, 2), (-2, 3), (-1, 4), (0, 5), (1, 7)]
+        assert reference_relative_failure(n, lfilt, res.filtration) is None
+        assert reference_relative_monodromy(n, lfilt).certificate.message == "completion forced too many vectors"
+
+    def test_open_bound_refutation_names_the_failed_axiom(self):
+        n, lfilt = _problem(OPEN_REFUTED_PAYLOAD)
+        assert _squeeze_outcome(n, lfilt) == "open"
+        c = relative_monodromy(n, lfilt).certificate
+        assert (c.level, c.kind, c.at_jump) == (-1, "axiom", None)
+        assert c.message == (
+            "constructed candidate fails certification: "
+            "induced filtration on the graded piece at -1 deviates at level -1"
+        )
 
     def test_dimension_mismatch_rejected(self):
         bottom = Filtration(3, [(0, Subspace.full(3))], center=0)
@@ -377,17 +464,50 @@ def _relative_corpus(rng):
         yield ops[0] - ops[1], monodromy_filtration(ops[1], center=1)
 
 
-def test_bound_propagation_matches_reference(monkeypatch):
-    # Every fixpoint the search reaches equals the one the reference sweeps
+def _squeeze_inputs(n, lfilt):
+    """The arguments `relative_monodromy` gives `monodromy._squeeze`: the
+    forced data of each L-graded piece and the starting bounds."""
+    op = NilpotentOperator(n)
+    jumps = lfilt.jumps()
+    bottoms = {k: lfilt.value_below(k) for k in jumps}
+    weights = {k: monodromy._weight_steps(op, bottoms[k], lfilt.value_at(k), k) for k in jumps}
+    max_exp = 1 + max(weights[k][-1][0] - k for k in jumps)
+    lo, hi = jumps[0] - max_exp, jumps[-1] + max_exp
+    pre = {(k, ell): step_value(weights[k], bottoms[k], ell) for k in jumps for ell in range(lo, hi + 1)}
+    forced = {
+        (k, ell): sum(pre[(kk, ell)].dim - bottoms[kk].dim for kk in jumps if kk <= k)
+        for k in jumps
+        for ell in range(lo, hi)
+    }
+    zero, full = Subspace.zero(n.rows), Subspace.full(n.rows)
+    bounds = []
+    for jump in (jumps[0], jumps[-1]):
+        bound = {ell: zero for ell in range(lo - 2, lo)}
+        bound.update({ell: pre[(jump, ell)] for ell in range(lo, hi)})
+        bound.update({hi: full, hi + 1: full})
+        bounds.append(bound)
+    return n, lfilt, pre, forced, bounds[0], bounds[1], lo, hi
+
+
+def _squeeze_outcome(n, lfilt):
+    """"pinned", "open" or "refuted": how `monodromy._squeeze` ends."""
+    args = _squeeze_inputs(n, lfilt)
+    if monodromy._squeeze(*args) is not None:
+        return "refuted"
+    lb, ub, lo, hi = args[4:]
+    return "pinned" if all(lb[e] == ub[e] for e in range(lo, hi)) else "open"
+
+
+def test_bound_propagation_matches_reference():
+    # Every fixpoint the squeeze reaches equals the one the reference sweeps
     # reach, level by level, so a propagation step that loses strength (or a
     # lattice operation that errs) shows up as a different bound even when
     # the final verdict would survive it.
-    squeeze = monodromy._squeeze
     split = {"pinned": 0, "open": 0, "refuted": 0}
-
-    def checked(matrix, lfilt, pre, forced, lb, ub, lo, hi):
+    for n, lfilt in _relative_corpus(random.Random(2024)):
+        matrix, lfilt, pre, forced, lb, ub, lo, hi = _squeeze_inputs(n, lfilt)
         refutation, want_lb, want_ub = _reference_squeeze(matrix, lfilt, pre, forced, lb, ub, lo, hi)
-        certificate = squeeze(matrix, lfilt, pre, forced, lb, ub, lo, hi)
+        certificate = monodromy._squeeze(matrix, lfilt, pre, forced, lb, ub, lo, hi)
         got = None if certificate is None else (certificate.kind, certificate.level, certificate.at_jump)
         assert got == refutation
         if certificate is None:
@@ -396,14 +516,6 @@ def test_bound_propagation_matches_reference(monkeypatch):
             split["pinned" if all(lb[e] == ub[e] for e in range(lo, hi)) else "open"] += 1
         else:
             split["refuted"] += 1
-        return certificate
-
-    monkeypatch.setattr(monodromy, "_squeeze", checked)
-    for n, lfilt in _relative_corpus(random.Random(2024)):
-        try:
-            relative_monodromy(n, lfilt)
-        except UndeterminedRelativeFiltration:
-            pass
     assert all(split.values()), split
 
 
@@ -412,7 +524,8 @@ def _moved(f, g):
 
 
 def _relative_outcome(relative, n, lfilt):
-    """The filtration, the certificate's fields, or the undetermined text."""
+    """The filtration, the certificate's fields, or the reference's
+    undetermined text."""
     try:
         res = relative(n, lfilt)
     except UndeterminedRelativeFiltration as exc:
@@ -469,19 +582,44 @@ class TestAgainstReferences:
             got = _relative_outcome(relative_monodromy, n, lf)
             assert got == _relative_outcome(reference_relative_monodromy, n, lf)
 
-    @given(seed=st.integers(0, 2**32))
+    @given(payload=st.sampled_from((UNDETERMINED_RELATIVE_PAYLOAD, OPEN_REFUTED_PAYLOAD)), seed=st.integers(0, 2**32))
     @settings(max_examples=20, deadline=None)
-    def test_undetermined_texts_match(self, seed):
-        n = matrix_from_json(UNDETERMINED_RELATIVE_PAYLOAD["operator"], "$")
-        lfilt = centered_filtration_from_json(UNDETERMINED_RELATIVE_PAYLOAD["filtration"], "$")
+    def test_reference_undetermined_problems_are_decided(self, payload, seed):
+        # where the greedy reference is undetermined, a filtration must pass
+        # the reference certification, and a refutation must come back with
+        # the same certificate in a second basis
+        n, lfilt = _problem(payload)
+        assert isinstance(_relative_outcome(reference_relative_monodromy, n, lfilt), str)
         g = random_unimodular(random.Random(seed), n.rows, rounds=3)
-        got = _relative_outcome(relative_monodromy, n, lfilt)
-        assert got.startswith("the relative filtration is undetermined")
-        assert got == _relative_outcome(reference_relative_monodromy, n, lfilt)
-        # the completion of open bounds depends on the basis, so a
-        # conjugate need not be undetermined; it must still match
-        op, lf = g * n * g.inverse(), _moved(lfilt, g)
-        assert _relative_outcome(relative_monodromy, op, lf) == _relative_outcome(reference_relative_monodromy, op, lf)
+        moved = (g * n * g.inverse(), _moved(lfilt, g))
+        res = relative_monodromy(n, lfilt)
+        if res.exists:
+            assert reference_relative_failure(n, lfilt, res.filtration) is None
+            assert reference_relative_failure(*moved, relative_monodromy(*moved).filtration) is None
+        else:
+            assert _relative_outcome(relative_monodromy, *moved) == _relative_outcome(relative_monodromy, n, lfilt)
+
+    @given(seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_orbit_problems_match_in_every_basis(self, seed):
+        # same report bytes in a second basis; the reference's filtration
+        # wherever it finds one; and no squeeze refutation of a solved problem
+        rng = random.Random(seed)
+        n, lfilt = random_orbit_problem(rng)
+        g = random_unimodular(rng, n.rows, rounds=3)
+        reports = [
+            emit_report(run_task(Document("check-relative", {
+                "operator": matrix_to_json(op), "filtration": centered_filtration_to_json(lf),
+            })), "structured")
+            for op, lf in ((n, lfilt), (g * n * g.inverse(), _moved(lfilt, g)))
+        ]
+        assert reports[1] == reports[0]
+        res = relative_monodromy(n, lfilt)
+        want = _relative_outcome(reference_relative_monodromy, n, lfilt)
+        if isinstance(want, Filtration):
+            assert res.filtration == want
+        if res.exists:
+            assert _squeeze_outcome(n, lfilt) != "refuted"
 
     @given(m=any_nilpotent, data=st.data(), seed=st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)

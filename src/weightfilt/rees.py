@@ -1,107 +1,83 @@
-"""Multigraded Rees-type modules, Koszul complexes, and flatness.
+"""Multigraded Rees modules, Koszul complexes, and flatness.
 
-A family of filtrations gives rise to a multigraded module over a polynomial
-ring in one variable per filtration: the graded piece at a lattice point is
-the intersection of the selected filtration values, and each variable acts
-by the inclusion into the piece one notch higher.  Compatibility of the
-family is equivalent to flatness of this module, and flatness in turn is
-decided through regular sequences, giving a second, independent oracle
-against the subquotient-exactness test in :mod:`weightfilt.filtration`.
+A family of filtrations of V gives rise to a multigraded module over a
+polynomial ring in one variable per filtration: the piece at a lattice point
+is the intersection of the selected filtration values, a subspace of V, and
+each variable acts by the inclusion into the piece one notch higher.
+Compatibility of the family is equivalent to flatness of this module, and
+flatness in turn is decided through regular sequences, giving a second,
+independent oracle against the subquotient-exactness test in
+:mod:`weightfilt.filtration`.
 
-Modules are stored on a finite box of multidegrees.  Below the box every
-piece is zero; above it the structure maps are isomorphisms, so accessors
-clamp: this saturation is what concentrates all homology in the box (a
-Koszul complex on which some variable acts invertibly is null-homotopic).
+A module is stored as its pieces on a finite box of multidegrees.  Below
+the box every piece is zero; above it the pieces repeat the top slice, so
+accessors clamp: this saturation is what concentrates all homology in the
+box (a Koszul complex on which some variable acts invertibly is
+null-homotopic).  Every structure map is an inclusion of subspaces of V, so
+both regularity routes read the pieces themselves and no map is stored.
 
 Regularity of a sequence of variables is computed two ways that must agree:
 stepwise injectivity on successive quotients, and vanishing of higher Koszul
 homology of every prefix.  Flatness is likewise computed two ways that must
 agree: every permutation regular, and every nonempty subset regular.
-The injectivity route compares dimensions only: when ``m(A') <= B'``, the
-map ``A/A' -> B/B'`` induced by ``m`` has rank ``dim(m(A) + B') - dim B'``.
 
-Both regularity routes visit only the points where they can learn
-something, each from the piece dimensions alone, so hand-built modules are
-treated alike.  The injectivity route takes the image sum ``W_p`` as 0 at
-a zero piece and sums only the images of variables whose source piece is
-nonzero.  The Koszul route ranks a complex only at the points ``p`` with
-some nonempty ``S`` in the variable set and ``M_{p - 1_S} != 0``: at any
-other point every negative-degree component ``C_t`` is 0, and
+The injectivity route works with Zassenhaus sums.  The quotient by the
+variables in a set is ``M_p / W_p``, with ``W_p`` the sum of the pieces
+``M_{p - e_j}`` over the set, and the next variable maps
+``M_{p-e} / W_{p-e}`` into it with rank ``dim(M_{p-e} + W_p) - dim W_p``.
+The Koszul route works with ranks.  At ``p`` its component in degree ``-t``
+is the direct sum of the pieces ``M_{p - 1_S}`` over the size-t subsets
+``S``, a subspace of ``V^C(r, t)``, and its differential is the constant
+Koszul differential on those sums of copies of V, restricted (Eisenbud,
+*Commutative Algebra*, ch. 17).
+
+Both routes visit only the points where they can learn something.  The
+injectivity route walks the nonzero pieces, and ``W_p`` sums only the
+nonzero lower pieces.  The Koszul route ranks a complex only at the points
+``p`` with some nonempty ``S`` in the variable set and ``M_{p - 1_S} != 0``:
+at any other point every negative-degree component ``C_t`` is 0, and
 ``H_{-t} <= dim C_t``.  Flatness walks the permutations depth first and
 remembers which prefix sets pass, so it checks at most ``n 2^(n-1)`` steps.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .exact import Immutable, Matrix, Subspace, image_of, sum_of
+from .exact import Immutable, Matrix, Subspace, rank_of_rows
 from .filtration import IndexLattice, MultiFiltration
 
 Point = Tuple[int, ...]
 
 
 class ReesModule:
-    """A finitely supported multigraded module with saturated top boundary.
+    """The multigraded Rees module of a family of filtrations.
 
-    piece_dims maps each box point to the dimension of its graded piece and
-    maps[(point, i)] is the matrix of the i-th variable acting from
-    ``point - e_i`` into ``point``; read maps through `map_matrix`.  The
-    structure maps must commute: a hand-built module has every square
-    checked at construction, while `rees_of` skips the check because its
-    squares commute by construction.  ``saturated_top[i]`` records whether
-    the i-th variable acts by the identity on the top slice of the box.  A
-    hand-built module has this tested, and every missing map filled in as
-    a zero map and every map's shape checked.  With ``validate=False``,
-    used only by `rees_of`, none of this runs: ``maps`` holds only the
-    nonzero maps (`map_matrix` gives the zero map out of or into a zero
-    piece), every shape is right by construction, and every
-    ``saturated_top`` entry is True, because that box ends one step above
-    the last jump, where every filtration value is already the full space.
+    ``pieces`` maps each point of the box to its piece, a `Subspace` of the
+    ambient space, and the i-th variable acts from ``p - e_i`` into ``p``
+    by the inclusion of pieces; read pieces through `piece`.  All zero
+    pieces are one shared zero subspace.  ``piece_dims`` maps each box
+    point to the dimension of its piece.  The box ends one step above the
+    last jump, where every filtration value is already the full space, so
+    each top slice repeats the slice below it.
     """
 
     def __init__(
         self,
-        nvars: int,
         box: Sequence[Tuple[int, int]],
-        piece_dims: Dict[Point, int],
-        maps: Dict[Tuple[Point, int], Matrix],
-        validate: bool = True,
+        pieces: Dict[Point, Subspace],
         lattice: Optional[IndexLattice] = None,
     ) -> None:
         self.lattice = lattice
-        self.nvars = nvars
-        self.box = tuple((int(lo), int(hi)) for lo, hi in box)
-        if len(self.box) != nvars:
-            raise ValueError("box must have one interval per variable")
-        for lo, hi in self.box:
-            if lo > hi:
-                raise ValueError("empty box interval")
-        self.maps = dict(maps)
+        self.box = tuple(box)
+        self.nvars = len(self.box)
+        self.ambient_dim = next(iter(pieces.values())).ambient_dim
+        self._zero = Subspace.zero(self.ambient_dim)
+        self.pieces = {p: s if s.dim else self._zero for p, s in pieces.items()}
+        self.piece_dims = {p: s.dim for p, s in self.pieces.items()}
         self._cache: Dict[object, object] = {}
-        if not validate:
-            # rees_of gives a piece at every box point and only the nonzero
-            # maps, each of its shape; map_matrix supplies the zero maps
-            self.piece_dims = dict(piece_dims)
-            self.saturated_top = (True,) * nvars
-            return
-        self.piece_dims = {p: piece_dims[p] for p in self.points() if p in piece_dims}
-        for p in self.points():
-            if p not in self.piece_dims:
-                raise ValueError(f"missing piece dimension at {p}")
-            for i in range(nvars):
-                key = (p, i)
-                src = self.piece_dim(self._shift(p, i, -1))
-                tgt = self.piece_dims[p]
-                if key not in self.maps:
-                    self.maps[key] = Matrix.zero(tgt, src)
-                m = self.maps[key]
-                if (m.rows, m.cols) != (tgt, src):
-                    raise ValueError(f"map at {key} has shape {(m.rows, m.cols)}, expected {(tgt, src)}")
-        self.saturated_top = tuple(self._top_is_identity(i) for i in range(nvars))
-        self._check_squares()
 
     # -- geometry ---------------------------------------------------------
 
@@ -109,59 +85,25 @@ class ReesModule:
         return list(product(*(range(lo, hi + 1) for lo, hi in self.box)))
 
     def interesting_points(self) -> List[Point]:
-        """Box points not duplicated by a saturated top slice."""
-        ranges = []
-        for (lo, hi), sat in zip(self.box, self.saturated_top):
-            ranges.append(range(lo, hi + (0 if sat else 1)))
-        return list(product(*ranges))
+        """Box points below the top slices, which repeat the ones under them."""
+        return list(product(*(range(lo, hi) for lo, hi in self.box)))
 
     @staticmethod
     def _shift(p: Point, i: int, d: int) -> Point:
         return p[:i] + (p[i] + d,) + p[i + 1 :]
 
-    def _clamp(self, p: Point) -> Point:
-        return tuple(min(x, hi) for x, (_, hi) in zip(p, self.box))
-
     # -- accessors (zero below the box, clamped above it) ------------------
 
-    def piece_dim(self, p: Point) -> int:
-        d = self.piece_dims.get(p)
-        if d is not None:
-            return d
+    def piece(self, p: Point) -> Subspace:
+        s = self.pieces.get(p)
+        if s is not None:
+            return s
         if any(x < lo for x, (lo, _) in zip(p, self.box)):
-            return 0
-        return self.piece_dims[self._clamp(p)]
+            return self._zero
+        return self.pieces[tuple(min(x, hi) for x, (_, hi) in zip(p, self.box))]
 
-    def map_matrix(self, p: Point, i: int) -> Matrix:
-        """Matrix of the i-th variable acting from ``p - e_i`` into ``p``."""
-        tgt = self.piece_dim(p)
-        src = self.piece_dim(self._shift(p, i, -1))
-        if src == 0 or tgt == 0:
-            return Matrix.zero(tgt, src)
-        if p[i] > self.box[i][1]:
-            return Matrix.identity(tgt)
-        return self.maps[(self._clamp(p), i)]
-
-    # -- validation ---------------------------------------------------------
-
-    def _top_is_identity(self, i: int) -> bool:
-        lo_i, hi_i = self.box[i]
-        for p in self.points():
-            if p[i] != hi_i:
-                continue
-            m = self.map_matrix(p, i)
-            if m.rows != m.cols or m != Matrix.identity(m.rows):
-                return False
-        return True
-
-    def _check_squares(self) -> None:
-        for p in self.points():
-            for i in range(self.nvars):
-                for j in range(i + 1, self.nvars):
-                    a = self.map_matrix(p, i) * self.map_matrix(self._shift(p, i, -1), j)
-                    b = self.map_matrix(p, j) * self.map_matrix(self._shift(p, j, -1), i)
-                    if a != b:
-                        raise ValueError(f"structure maps do not commute at {p} in directions {(i, j)}")
+    def piece_dim(self, p: Point) -> int:
+        return self.piece(p).dim
 
     def __repr__(self) -> str:
         return f"ReesModule(nvars={self.nvars}, box={self.box})"
@@ -193,99 +135,98 @@ def rees_of(mf: MultiFiltration) -> ReesModule:
     for f, (lo, hi) in zip(mf.filtrations, box):
         values = [(k, f.value_at(lat.phi(k))) for k in range(lo, hi + 1)]
         spaces = {q + (k,): s.intersect(v) for q, s in spaces.items() for k, v in values}
+    return ReesModule(box, spaces, lat)
 
-    # only the nonzero maps: map_matrix gives the zero ones
-    maps: Dict[Tuple[Point, int], Matrix] = {}
-    for p, tgt in spaces.items():
-        for i in range(len(mf)):
-            src = spaces.get(ReesModule._shift(p, i, -1))
-            if src is not None and src.dim:
-                cols = [tgt.rref_coordinates(b) for b in src.basis]
-                maps[(p, i)] = Matrix.from_columns(cols, tgt.dim)
 
-    # No square check: each stored map is tgt.rref_coordinates(b) for b in
-    # src.basis, with src <= tgt because values of validated increasing
-    # filtrations nest, so both paths around a square are the coordinate
-    # matrix of one inclusion.
-    return ReesModule(len(mf), box, {p: s.dim for p, s in spaces.items()}, maps, validate=False, lattice=lat)
+@lru_cache(maxsize=None)
+def _faces(r: int, t: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The signs of the Koszul differential from degree ``-t`` to ``1 - t``.
+
+    For each size-t subset ``S`` of ``range(r)``, in `combinations` order,
+    the pairs ``(sign, k)`` over ``j`` in ``S``: ``k`` is the position of
+    ``S - {j}`` among the size-(t-1) subsets, and the sign is -1 to the
+    power of the position of ``j`` in ``S``.
+    """
+    index = {T: k for k, T in enumerate(combinations(range(r), t - 1))}
+    return tuple(
+        tuple((-1 if pos % 2 else 1, index[S[:pos] + S[pos + 1 :]]) for pos in range(t))
+        for S in combinations(range(r), t)
+    )
 
 
 class KoszulComplexData:
     """The Koszul complex of a sequence of variables at one multidegree.
 
     Components sit in degrees ``-len(seq) .. 0``; the component in degree
-    ``-t`` is the direct sum over size-t subsets ``S`` of the pieces at the
-    multidegree lowered by the indicator of ``S``.  ``d * d == 0`` holds
-    by construction: the module's squares commute (checked for a hand-built
-    module, true by construction for `rees_of`) and the signs alternate.
+    ``-t`` is the direct sum, over the size-t subsets ``S`` of the sorted
+    sequence, of the pieces at the multidegree lowered by the indicator of
+    ``S``.  It is a subspace of ``V^C(r, t)``, and the complex is a
+    subcomplex of the constant Koszul complex on those sums of copies of V:
+    ``d_t`` sends ``v`` in block ``S`` to ``(-1)^pos v`` in block
+    ``S - {j}`` for the j at each position ``pos`` of ``S``, and
+    ``M_{p - 1_S} <= M_{p - 1_{S - {j}}}`` keeps each component inside the
+    next.  ``d * d == 0`` on the constant complex, because each
+    ``S - {j, k}`` is reached once through j and once through k, with
+    opposite signs, so it holds on the subcomplex.  ``differentials`` are
+    the constant differentials, built when read; `homology` ranks their
+    restrictions to the components.
     """
 
     def __init__(self, rees: ReesModule, seq: Sequence[int], multidegree: Point) -> None:
         self.seq = tuple(seq)
         self.multidegree = tuple(multidegree)
+        if any(not 0 <= v < rees.nvars for v in self.seq):
+            raise ValueError("variable index out of range")
         if len(set(self.seq)) != len(self.seq):
             raise ValueError("variable sequence must not repeat")
-        svars = sorted(self.seq)
-        r = len(svars)
+        self.ambient_dim = rees.ambient_dim
+        m, svars = self.multidegree, sorted(self.seq)
+        self.components = tuple(
+            tuple(rees.piece(tuple(x - (i in S) for i, x in enumerate(m))) for S in combinations(svars, t))
+            for t in range(len(svars) + 1)
+        )
+        self.component_dims = tuple(sum(s.dim for s in row) for row in self.components)
 
-        layout: List[List[Tuple[Tuple[int, ...], int, int]]] = []
-        for t in range(r + 1):
-            row: List[Tuple[Tuple[int, ...], int, int]] = []
-            off = 0
-            for S in combinations(svars, t):
-                p = self._lowered(multidegree, S)
-                d = rees.piece_dim(p)
-                row.append((S, d, off))
-                off += d
-            layout.append(row)
-        self.component_dims = tuple(sum(d for _, d, _ in row) for row in layout)
-
-        diffs: List[Matrix] = []
+    @property
+    def differentials(self) -> Tuple[Matrix, ...]:
+        """``d_t`` from ``V^C(r, t)`` to ``V^C(r, t-1)``, for t = 1 .. r."""
+        n, r = self.ambient_dim, len(self.seq)
+        out = []
         for t in range(1, r + 1):
-            src_row = layout[t]
-            tgt_row = layout[t - 1]
-            tgt_off = {S: (d, off) for S, d, off in tgt_row}
-            total_src = self.component_dims[t]
-            total_tgt = self.component_dims[t - 1]
-            if not total_src or not total_tgt:
-                # no columns or no rows: the zero map, of rank 0 by shape
-                diffs.append(Matrix.zero(total_tgt, total_src))
-                continue
-            grid: List[List[Fraction]] = [
-                [Fraction(0)] * total_src for _ in range(total_tgt)
-            ]
-            for S, sdim, soff in src_row:
-                if sdim == 0:
-                    continue
-                for pos, j in enumerate(S):
-                    T = tuple(v for v in S if v != j)
-                    tdim, toff = tgt_off[T]
-                    if tdim == 0:
-                        continue
-                    block = rees.map_matrix(self._lowered(multidegree, T), j)
-                    sign = -1 if pos % 2 else 1
-                    for a in range(tdim):
-                        row = block.entries[a]
-                        for b in range(sdim):
-                            if row[b]:
-                                grid[toff + a][soff + b] = sign * row[b]
-            diffs.append(Matrix(grid, total_tgt, total_src))
-        self.differentials = tuple(diffs)
+            faces = _faces(r, t)
+            nrows = n * len(self.components[t - 1])
+            grid = [[0] * (n * len(faces)) for _ in range(nrows)]
+            for s, signs in enumerate(faces):
+                for sign, k in signs:
+                    for a in range(n):
+                        grid[k * n + a][s * n + a] = sign
+            out.append(Matrix(grid, nrows, n * len(faces)))
+        return tuple(out)
 
-    @staticmethod
-    def _lowered(m: Point, S: Sequence[int]) -> Point:
-        return tuple(x - (1 if i in S else 0) for i, x in enumerate(m))
+    def _rank(self, t: int) -> int:
+        """Rank of ``d_t`` on the component in degree ``-t``: the rank of the
+        rows that put plus or minus each basis row of ``M_{p - 1_S}`` into
+        each block ``S - {j}``."""
+        n = self.ambient_dim
+        width = n * len(self.components[t - 1])
+        rows = []
+        for s, signs in zip(self.components[t], _faces(len(self.seq), t)):
+            # a piece with a non-real Gaussian entry keeps no integer rows
+            for b in s._rows if s._rows is not None else s.basis:
+                row = [0] * width
+                for sign, k in signs:
+                    row[k * n : k * n + n] = b if sign > 0 else [-x for x in b]
+                rows.append(row)
+        return rank_of_rows(rows)
 
     def homology(self) -> Dict[int, int]:
-        """Dimensions of homology, keyed by (non-positive) degree."""
-        r = len(self.seq)
-        ranks = [m.rank() for m in self.differentials]
-        out: Dict[int, int] = {}
-        for t in range(r + 1):
-            d_out = ranks[t - 1] if t >= 1 else 0
-            d_in = ranks[t] if t < r else 0
-            out[-t] = self.component_dims[t] - d_out - d_in
-        return out
+        """Dimensions of homology, keyed by (non-positive) degree.
+
+        A differential out of a zero component has rank 0 and is not ranked.
+        """
+        dims = self.component_dims
+        ranks = [0] + [self._rank(t) if dims[t] else 0 for t in range(1, len(dims))] + [0]
+        return {-t: dims[t] - ranks[t] - ranks[t + 1] for t in range(len(dims))}
 
     def __repr__(self) -> str:
         return f"KoszulComplexData(seq={self.seq}, multidegree={self.multidegree})"
@@ -304,23 +245,6 @@ def koszul_homology(rees: ReesModule, seq: Sequence[int], multidegree: Point) ->
 # -- regularity ------------------------------------------------------------
 
 
-def _image_sums(rees: ReesModule, varset: FrozenSet[int]) -> Dict[Point, Subspace]:
-    """Per point, the sum ``W_p`` of the images of the variables in ``varset``.
-
-    ``W_p`` is 0 at a zero piece, and a variable whose source piece is 0
-    adds nothing, so only the images of the others are summed.
-    """
-    key = ("images", varset)
-    if key not in rees._cache:
-        sums: Dict[Point, Subspace] = {}
-        for p in rees.interesting_points():
-            d = rees.piece_dim(p)
-            sources = [j for j in varset if rees.piece_dim(rees._shift(p, j, -1))] if d else []
-            sums[p] = sum_of([image_of(rees.map_matrix(p, j)) for j in sources], d)
-        rees._cache[key] = sums
-    return rees._cache[key]  # type: ignore[return-value]
-
-
 def _support(rees: ReesModule) -> List[Point]:
     """The interesting points whose piece is nonzero."""
     key = ("support",)
@@ -329,30 +253,50 @@ def _support(rees: ReesModule) -> List[Point]:
     return rees._cache[key]  # type: ignore[return-value]
 
 
+def _image_sums(rees: ReesModule, varset: FrozenSet[int]) -> Dict[Point, Subspace]:
+    """Per point of the support, the sum ``W_p`` of the pieces ``M_{p - e_j}``
+    over the variables j in ``varset``.
+
+    Only the nonzero lower pieces are summed.  At every other interesting
+    point ``W_p`` is 0, since ``W_p <= M_p``, and it is not stored.
+    """
+    key = ("images", varset)
+    if key not in rees._cache:
+        sums: Dict[Point, Subspace] = {}
+        for p in _support(rees):
+            lower = [s for s in (rees.piece(rees._shift(p, j, -1)) for j in varset) if s.dim]
+            w = lower[0] if lower else rees._zero
+            for s in lower[1:]:
+                w = w.sum(s)
+            sums[p] = w
+        rees._cache[key] = sums
+    return rees._cache[key]  # type: ignore[return-value]
+
+
 def _step_injective(rees: ReesModule, varset: FrozenSet[int], nxt: int) -> bool:
     """Is the next variable injective on the quotient by ``varset``?
 
     With x the next variable, e its unit vector and ``W`` the image sums,
-    ``x(W_{p-e}) <= W_p`` because x commutes with each ``x_j`` in ``varset``.
-    So x is injective at ``p - e`` iff
-    ``dim(x(M_{p-e}) + W_p) - dim W_p == dim M_{p-e} - dim W_{p-e}``.
-    Only a nonzero source piece can fail, so the walk runs over the support.
+    ``W_{p-e} <= W_p`` because the pieces nest.  So x is injective at
+    ``p - e`` iff
+    ``dim(M_{p-e} + W_p) - dim W_p == dim M_{p-e} - dim W_{p-e}``.
+    Only a nonzero source piece can fail, so the walk runs over the support,
+    and the target of a nonzero piece is nonzero.
     """
     key = ("inj", varset, nxt)
     cached = rees._cache.get(key)
     if cached is not None:
         return cached  # type: ignore[return-value]
     sums = _image_sums(rees, varset)
+    top = rees.box[nxt][1] - 1
     verdict = True
     for src_p in _support(rees):
-        p = rees._shift(src_p, nxt, 1)
-        w = sums.get(p)
         src_dim = rees.piece_dims[src_p] - sums[src_p].dim
-        if w is None or src_dim == 0:
-            # past the interesting points the top slice repeats
+        if src_p[nxt] == top or src_dim == 0:
+            # the top slice repeats the one below it
             continue
-        rank = image_of(rees.map_matrix(p, nxt)).sum(w).dim - w.dim
-        if rank != src_dim:
+        w = sums[rees._shift(src_p, nxt, 1)]
+        if rees.pieces[src_p].sum(w).dim - w.dim != src_dim:
             verdict = False
             break
     rees._cache[key] = verdict
@@ -368,11 +312,11 @@ def _koszul_points(rees: ReesModule, varset: FrozenSet[int]) -> Set[Point]:
     least one step.  Points past the interesting ones are dropped as they
     appear: dilating only raises coordinates, so it never comes back.
     """
-    tops = [hi - 1 if sat else hi for (_, hi), sat in zip(rees.box, rees.saturated_top)]
     reach = set(_support(rees))
     hit: Set[Point] = set()
     for v in varset:
-        step = {rees._shift(p, v, 1) for p in reach if p[v] < tops[v]}
+        top = rees.box[v][1] - 1
+        step = {rees._shift(p, v, 1) for p in reach if p[v] < top}
         hit |= step
         reach |= step
     return hit

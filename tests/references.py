@@ -5,12 +5,16 @@ Each exact-kernel function here is the `Fraction` (or Gaussian) field loop
 that the library ran before its integer kernels, kept so that differential
 tests can compare the fast paths with it.  A span is represented as the
 pair ``(rref rows, pivots)``, both tuples, which is what
-``Subspace.basis`` and ``Subspace._pivots`` give.  The Rees functions are
-the loops that visited every interesting point and every permutation.  The
-Lefschetz functions validate operators, solve sl2 triples and build Weil
-elements in ambient coordinates, inverting the change of basis wherever
-they need it, as the library did before it kept one adapted frame per
-graded space.  The monodromy functions build weight filtrations from Jordan
+``Subspace.basis`` and ``Subspace._pivots`` give.  The Rees functions
+keep the module the library stored before it read its pieces directly:
+piece dimensions and a coordinate matrix for each structure map, with the
+squares and top slices of a hand-built module checked, regularity decided
+by induced matrices on quotients and by a `Fraction` grid for each Koszul
+complex, every interesting point visited and every permutation looped
+over.  The Lefschetz functions validate operators, solve sl2 triples and
+build Weil elements in ambient coordinates, inverting the change of basis
+wherever they need it, as the library did before it kept one adapted frame
+per graded space.  The monodromy functions build weight filtrations from Jordan
 chain bases, and relative ones and nested graded dimensions in the coset
 coordinates of `QuotientPresentation`s of the graded pieces, as the library
 did before one lattice recursion built every weight filtration; the relative
@@ -20,10 +24,19 @@ refute falsely where the library's construction decides.
 
 from fractions import Fraction
 from math import factorial
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
-from weightfilt.exact import GaussianRational, Matrix, Subspace, image_of, solve_columns, sum_of
-from weightfilt.filtration import Filtration
+from weightfilt.exact import (
+    GaussianRational,
+    Matrix,
+    QuotientPresentation,
+    Subspace,
+    image_of,
+    intersection_of,
+    solve_columns,
+    sum_of,
+)
+from weightfilt.filtration import Filtration, IndexLattice
 from weightfilt.lefschetz import Sl2Action
 from weightfilt.monodromy import (
     NilpotentOperator,
@@ -32,7 +45,7 @@ from weightfilt.monodromy import (
     jordan_chain_basis,
     verify_weight_axioms,
 )
-from weightfilt.rees import FlatnessCertificate, is_regular_sequence, koszul_homology
+from weightfilt.rees import FlatnessCertificate, RegularityCertificate, is_regular_sequence, koszul_homology
 
 
 class UndeterminedRelativeFiltration(RuntimeError):
@@ -129,39 +142,254 @@ def reference_preimage(span, m):
     return reference_kernel([[col[i] for col in cols] for i in range(m.rows)], m.cols)
 
 
+class ReferenceReesModule:
+    """The matrix module the library stored before it kept its pieces.
+
+    ``piece_dims`` maps each box point to the dimension of its piece, and
+    ``maps[(point, i)]`` is the matrix of the i-th variable acting from
+    ``point - e_i`` into ``point``; read maps through `map_matrix`.  With
+    ``validate`` every missing map is filled in as a zero map, every map's
+    shape and every commuting square are checked, and ``saturated_top[i]``
+    records whether the i-th variable acts by the identity on the top
+    slice.  Without it, ``maps`` holds only the nonzero maps (`map_matrix`
+    gives the zero map out of or into a zero piece) and every top slice is
+    taken as saturated.
+    """
+
+    def __init__(self, nvars, box, piece_dims, maps, validate=True):
+        self.nvars = nvars
+        self.box = tuple((int(lo), int(hi)) for lo, hi in box)
+        if len(self.box) != nvars:
+            raise ValueError("box must have one interval per variable")
+        if any(lo > hi for lo, hi in self.box):
+            raise ValueError("empty box interval")
+        self.maps = dict(maps)
+        if not validate:
+            self.piece_dims = dict(piece_dims)
+            self.saturated_top = (True,) * nvars
+            return
+        self.piece_dims = {p: piece_dims[p] for p in self.points() if p in piece_dims}
+        for p in self.points():
+            if p not in self.piece_dims:
+                raise ValueError(f"missing piece dimension at {p}")
+            for i in range(nvars):
+                key = (p, i)
+                src = self.piece_dim(self._shift(p, i, -1))
+                tgt = self.piece_dims[p]
+                if key not in self.maps:
+                    self.maps[key] = Matrix.zero(tgt, src)
+                m = self.maps[key]
+                if (m.rows, m.cols) != (tgt, src):
+                    raise ValueError(f"map at {key} has shape {(m.rows, m.cols)}, expected {(tgt, src)}")
+        self.saturated_top = tuple(self._top_is_identity(i) for i in range(nvars))
+        self._check_squares()
+
+    def points(self):
+        return list(product(*(range(lo, hi + 1) for lo, hi in self.box)))
+
+    def interesting_points(self):
+        """Box points not duplicated by a saturated top slice."""
+        return list(product(*(
+            range(lo, hi + (0 if sat else 1)) for (lo, hi), sat in zip(self.box, self.saturated_top)
+        )))
+
+    @staticmethod
+    def _shift(p, i, d):
+        return p[:i] + (p[i] + d,) + p[i + 1 :]
+
+    def piece_dim(self, p):
+        d = self.piece_dims.get(p)
+        if d is not None:
+            return d
+        if any(x < lo for x, (lo, _) in zip(p, self.box)):
+            return 0
+        return self.piece_dims[tuple(min(x, hi) for x, (_, hi) in zip(p, self.box))]
+
+    def map_matrix(self, p, i):
+        """Matrix of the i-th variable acting from ``p - e_i`` into ``p``."""
+        tgt = self.piece_dim(p)
+        src = self.piece_dim(self._shift(p, i, -1))
+        if src == 0 or tgt == 0:
+            return Matrix.zero(tgt, src)
+        if p[i] > self.box[i][1]:
+            return Matrix.identity(tgt)
+        return self.maps[(tuple(min(x, hi) for x, (_, hi) in zip(p, self.box)), i)]
+
+    def _top_is_identity(self, i):
+        for p in self.points():
+            if p[i] == self.box[i][1]:
+                m = self.map_matrix(p, i)
+                if m.rows != m.cols or m != Matrix.identity(m.rows):
+                    return False
+        return True
+
+    def _check_squares(self):
+        for p in self.points():
+            for i in range(self.nvars):
+                for j in range(i + 1, self.nvars):
+                    a = self.map_matrix(p, i) * self.map_matrix(self._shift(p, i, -1), j)
+                    b = self.map_matrix(p, j) * self.map_matrix(self._shift(p, j, -1), i)
+                    if a != b:
+                        raise ValueError(f"structure maps do not commute at {p} in directions {(i, j)}")
+
+
+def reference_rees_of(mf, validate=True):
+    """The matrix module of a family: the library's box, each piece as the
+    intersection of all its values at once, and each map the coordinate
+    matrix of the inclusion of its source piece into its target."""
+    lat = IndexLattice(set().union(*(f.fractional_offsets() for f in mf.filtrations)))
+    box = []
+    for f in mf.filtrations:
+        ks = [lat.phi_inv(x) for x in f.jumps()] or [0]
+        box.append((min(ks) - 1, max(ks) + 1))
+    spaces = {
+        p: intersection_of([f.value_at(lat.phi(k)) for f, k in zip(mf.filtrations, p)], mf.ambient_dim)
+        for p in product(*(range(lo, hi + 1) for lo, hi in box))
+    }
+    maps = {}
+    for p, tgt in spaces.items():
+        for i in range(len(mf)):
+            src = spaces.get(ReferenceReesModule._shift(p, i, -1))
+            if src is not None and src.dim:
+                maps[(p, i)] = Matrix.from_columns([tgt.rref_coordinates(b) for b in src.basis], tgt.dim)
+    return ReferenceReesModule(len(mf), box, {p: s.dim for p, s in spaces.items()}, maps, validate)
+
+
+def reference_step_injective(rees, varset, nxt):
+    """The induced-matrix step test.
+
+    At every point, present the quotient of the piece by the images of
+    ``varset`` with coset representatives, and rank the matrix that the
+    next variable induces between consecutive quotients.
+    """
+    quots = {}
+    for p in rees.interesting_points():
+        d = rees.piece_dim(p)
+        images = [image_of(rees.map_matrix(p, j)) for j in varset]
+        quots[p] = QuotientPresentation(Subspace.full(d), sum_of(images, d))
+    for p, tgt in quots.items():
+        src = quots.get(rees._shift(p, nxt, -1))
+        if src is None or src.dim == 0:
+            continue
+        if src.induced_matrix(rees.map_matrix(p, nxt), tgt).rank() != src.dim:
+            return False
+    return True
+
+
 def reference_image_sums(rees, varset):
-    """``W_p`` at every interesting point, summing the image of every
-    variable in ``varset``, zero pieces included."""
+    """``W_p`` at every interesting point, in the coordinates of the piece,
+    summing the image of every variable in ``varset``, zero pieces
+    included."""
     return {
         p: sum_of([image_of(rees.map_matrix(p, j)) for j in varset], rees.piece_dim(p))
         for p in rees.interesting_points()
     }
 
 
-def reference_koszul_prefix_exact(rees, varset):
-    """The Koszul route at every interesting point."""
+class ReferenceKoszulComplex:
+    """The Koszul complex as one `Fraction` grid per differential: the
+    component in degree ``-t`` is the direct sum of the pieces at the
+    multidegree lowered by each size-t subset, and each block is a signed
+    structure map."""
+
+    def __init__(self, rees, seq, multidegree):
+        svars = sorted(seq)
+        if len(set(svars)) != len(svars):
+            raise ValueError("variable sequence must not repeat")
+
+        def lowered(S):
+            return tuple(x - (i in S) for i, x in enumerate(multidegree))
+
+        layout = []
+        for t in range(len(svars) + 1):
+            row, off = [], 0
+            for S in combinations(svars, t):
+                d = rees.piece_dim(lowered(S))
+                row.append((S, d, off))
+                off += d
+            layout.append(row)
+        self.component_dims = tuple(sum(d for _, d, _ in row) for row in layout)
+        diffs = []
+        for t in range(1, len(svars) + 1):
+            tgt_off = {S: (d, off) for S, d, off in layout[t - 1]}
+            grid = [[Fraction(0)] * self.component_dims[t] for _ in range(self.component_dims[t - 1])]
+            for S, sdim, soff in layout[t]:
+                for pos, j in enumerate(S):
+                    T = S[:pos] + S[pos + 1 :]
+                    tdim, toff = tgt_off[T]
+                    block = rees.map_matrix(lowered(T), j)
+                    for a in range(tdim):
+                        for b in range(sdim):
+                            grid[toff + a][soff + b] = (-1) ** pos * block.entries[a][b]
+            diffs.append(Matrix(grid, self.component_dims[t - 1], self.component_dims[t]))
+        self.differentials = tuple(diffs)
+
+    def homology(self):
+        ranks = [0] + [m.rank() for m in self.differentials] + [0]
+        dims = self.component_dims
+        return {-t: dims[t] - ranks[t] - ranks[t + 1] for t in range(len(dims))}
+
+
+def reference_component(rees, seq, multidegree, t):
+    """The component of the Koszul complex in degree ``-t`` as vectors of
+    ``V^C(r, t)``: the basis of each lowered piece of a library module,
+    placed in the block of its subset."""
+    n = rees.ambient_dim
+    blocks = list(combinations(sorted(seq), t))
+    return [
+        [0] * (n * k) + list(b) + [0] * (n * (len(blocks) - k - 1))
+        for k, S in enumerate(blocks)
+        for b in rees.piece(tuple(x - (i in S) for i, x in enumerate(multidegree))).basis
+    ]
+
+
+def reference_koszul_homology(rees, seq, multidegree):
+    return ReferenceKoszulComplex(rees, seq, multidegree).homology()
+
+
+def reference_koszul_prefix_exact(rees, varset, homology=koszul_homology):
+    """The Koszul route at every interesting point, with ``homology`` the
+    library's `koszul_homology` or the grid reference."""
     seq = sorted(varset)
     for p in rees.interesting_points():
-        hom = koszul_homology(rees, seq, p)
+        hom = homology(rees, seq, p)
         if any(hom[d] for d in hom if d < 0):
             return False
     return True
 
 
-def reference_is_flat(rees):
+def reference_is_regular_sequence(rees, seq, homology=reference_koszul_homology):
+    """Both regularity routes on the matrix module: the induced-matrix step
+    for each prefix, and the Koszul homology of each prefix at every
+    interesting point, by default from the grid complex.  They must agree."""
+    s = tuple(seq)
+    inj_fail = next((s[: k + 1] for k in range(len(s)) if not reference_step_injective(rees, s[:k], s[k])), None)
+    kos_fail = next(
+        (s[: k + 1] for k in range(len(s))
+         if not reference_koszul_prefix_exact(rees, s[: k + 1], homology)),
+        None,
+    )
+    if (inj_fail is None) != (kos_fail is None):
+        raise AssertionError(f"regularity routes disagree on {s}: injectivity={inj_fail is None}, Koszul={kos_fail is None}")
+    return RegularityCertificate(inj_fail is None, s, inj_fail or kos_fail)
+
+
+def reference_is_flat(rees, is_regular=is_regular_sequence):
     """Flatness with the permutation route as a loop over all ``n!``
-    orders, each tested by `is_regular_sequence`."""
+    orders, each tested by ``is_regular``: the library's
+    `is_regular_sequence`, or `reference_is_regular_sequence` on a matrix
+    module."""
     n = rees.nvars
     perm_fail = None
     for perm in permutations(range(n)):
-        if not is_regular_sequence(rees, perm).regular:
+        if not is_regular(rees, perm).regular:
             perm_fail = perm
             break
 
     subset_fail = None
     for size in range(1, n + 1):
         for S in combinations(range(n), size):
-            if not is_regular_sequence(rees, S).regular:
+            if not is_regular(rees, S).regular:
                 subset_fail = S
                 break
         if subset_fail is not None:

@@ -2,13 +2,14 @@
 
 `Subspace.zero`, `Subspace.full` and the Zassenhaus sum and intersection
 store their rows as the canonical basis without reducing them again,
-`rees_of` skips the commuting-square check, takes its top slices as
-saturated and builds each piece from the one before it on its axis, the
-subquotient row test, the Rees injectivity step and weight axiom two
-compare dimensions only (the induced-matrix references are in
-test_filtration.py, test_rees.py and test_monodromy.py),
-`KoszulComplexData` does not multiply its differentials and gives a
-differential with no rows or no columns rank 0 without ranking it, graded
+`rees_of` stores nested pieces, whose inclusions commute (the matrix
+module that checked its squares is in references.py), takes its top slices
+as saturated, builds each piece from the one before it on its axis and
+builds no `Matrix`, the subquotient row test, the Rees injectivity step and
+weight axiom two compare dimensions only (the induced-matrix references are
+in test_filtration.py, references.py and test_monodromy.py),
+`KoszulComplexData` does not multiply its differentials and does not rank
+a differential out of a zero component, graded
 bilinear structures and monodromic modules keep the nilpotent operators
 they certify instead of rebuilding them, and `Matrix` arithmetic builds
 its results from entries that are already exact scalars without coercing
@@ -17,7 +18,8 @@ them again, and `QuotientPresentation.reduce`, `induced_matrix` and
 linear system; rational `Subspace` lattice operations work on integer
 rows without building a `Fraction`; the Koszul regularity route ranks no
 complex whose negative-degree components are all zero, and the injectivity
-route visits no point whose source piece is zero; a graded space
+route visits no point whose source piece is zero and sums no zero piece; a
+graded space
 inverts its change of basis once, so that validating a graded bilinear
 structure and deciding its polarization by both routes inverts no other
 matrix; the exponential of a rational nilpotent matrix is summed on
@@ -34,13 +36,14 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weightfilt import exact, monodromy
+from weightfilt import document, exact, monodromy
+from weightfilt.document import MAX_FAMILY_SIZE
 from weightfilt.exact import Matrix, QuotientPresentation, Subspace, _sum_and_intersection, exp_nilpotent, kernel_of
 from weightfilt.filtration import Filtration, MultiFiltration, _subobject_compatibility_cached
 from weightfilt.fixtures import fixture_Vk, fixture_tensor_jordan
@@ -58,7 +61,7 @@ from weightfilt.nearby import MonodromicModule
 from weightfilt import rees as rees_module
 from weightfilt.rees import KoszulComplexData, ReesModule, _image_sums, _koszul_prefix_exact, _step_injective, is_flat, rees_of
 
-from references import reference_exp_nilpotent
+from references import reference_component, reference_exp_nilpotent, reference_rees_of
 from strategies import (
     conjugate_structure,
     multifiltrations,
@@ -94,16 +97,31 @@ def test_zassenhaus_halves_are_canonical(data, n):
 @given(mf=multifiltrations())
 @settings(max_examples=40, deadline=None)
 def test_rees_of_passes_the_full_square_check(mf):
-    rees_of(mf)._check_squares()
+    # every piece lies in the pieces above it, so each variable acts by an
+    # inclusion, and the coordinate matrices of the inclusions commute
+    rees = rees_of(mf)
+    for p in rees.points():
+        for i in range(rees.nvars):
+            assert rees.piece(rees._shift(p, i, -1)) <= rees.piece(p)
+    ref = reference_rees_of(mf, validate=False)
+    assert ref.piece_dims == rees.piece_dims
+    ref._check_squares()
 
 
 @given(mf=multifiltrations())
 @example(mf=MultiFiltration([Filtration(0, [])]))
 @settings(max_examples=40, deadline=None)
 def test_rees_of_top_slices_are_identities(mf):
+    # each top slice repeats the slice below it, which is what the clamp
+    # above the box and the interesting points take for granted
     rees = rees_of(mf)
-    assert rees.saturated_top == tuple(rees._top_is_identity(i) for i in range(rees.nvars))
-    assert all(rees.saturated_top)
+    for p in rees.points():
+        for i, (_, hi) in enumerate(rees.box):
+            if p[i] == hi:
+                assert rees.piece(p) == rees.piece(rees._shift(p, i, -1))
+    ref = reference_rees_of(mf, validate=False)
+    assert all(ref._top_is_identity(i) for i in range(ref.nvars))
+    assert ref.interesting_points() == rees.interesting_points()
 
 
 @given(mf=multifiltrations())
@@ -121,26 +139,28 @@ def test_koszul_differentials_square_to_zero(mf):
 @given(mf=multifiltrations())
 @settings(max_examples=25, deadline=None)
 def test_koszul_differentials_empty_by_shape_are_not_ranked(mf):
-    # a differential with no rows or no columns is the zero map of rank 0;
-    # homology ranks only the others
+    # each differential is the constant one on copies of V; homology ranks
+    # its restriction to the components, the images of the pieces' bases,
+    # and does not rank one out of a zero component
     rees = rees_of(mf)
-    rank_of_rows = exact.rank_of_rows
+    n = rees.ambient_dim
     ranked = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "rank_of_rows", lambda rows: ranked.append(rows) or rank_of_rows(rows))
+        mp.setattr(rees_module, "rank_of_rows", lambda rows: ranked.append(rows) or exact.rank_of_rows(rows))
         for seq in combinations(range(rees.nvars), min(2, rees.nvars)):
             for p in rees.interesting_points():
                 data = KoszulComplexData(rees, seq, p)
                 dims, diffs = data.component_dims, data.differentials
-                ranks = [rank_of_rows(d.entries) for d in diffs]
+                ranks = []
                 for t, d in enumerate(diffs, start=1):
-                    assert (d.rows, d.cols) == (dims[t - 1], dims[t])
-                    if not (d.rows and d.cols):
-                        assert d == Matrix([[0] * d.cols] * d.rows, d.rows, d.cols)
+                    assert (d.rows, d.cols) == (n * comb(len(seq), t - 1), n * comb(len(seq), t))
+                    vectors = reference_component(rees, seq, p, t)
+                    assert len(vectors) == dims[t]
+                    ranks.append(exact.rank_of_rows([d.apply(v) for v in vectors]))
                 ranked.clear()
                 bounds = [0] + ranks + [0]
                 assert data.homology() == {-t: dims[t] - bounds[t] - bounds[t + 1] for t in range(len(dims))}
-                assert len(ranked) == sum(1 for d in diffs if d.rows and d.cols)
+                assert len(ranked) == sum(1 for t in range(1, len(dims)) if dims[t])
 
 
 def _seeded_mf():
@@ -148,20 +168,44 @@ def _seeded_mf():
     return MultiFiltration([random_filtration(rng, 3) for _ in range(3)])
 
 
-def test_rees_of_does_not_check_squares(monkeypatch):
-    def refuse(self):
-        raise AssertionError("rees_of reached _check_squares")
+def test_check_compat_builds_no_matrix(monkeypatch):
+    # a rational family is decided by both routes on subspaces alone; no
+    # structure matrix is built, so there is no square or top slice to check
+    def refuse(*args, **kwargs):
+        raise AssertionError("check-compat built a Matrix")
 
-    monkeypatch.setattr(ReesModule, "_check_squares", refuse)
-    rees_of(_seeded_mf())
+    lines = [Filtration(2, [(0, Subspace.span([v], 2)), (1, Subspace.full(2))]) for v in ((1, 0), (0, 1), (1, 1))]
+    payloads = [
+        {"filtrations": [document.filtration_to_json(f) for f in fs]}
+        for fs in (_seeded_mf().filtrations, lines)
+    ]
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(Matrix, "_trusted", classmethod(refuse))
+    verdicts = [document.run_task(document.Document("check-compat", payload))["verdict"] for payload in payloads]
+    assert verdicts == [True, False]
 
 
-def test_rees_of_does_not_test_its_top_slices(monkeypatch):
-    def refuse(self, i):
-        raise AssertionError("rees_of reached _top_is_identity")
+def test_image_sums_sum_no_zero_piece(monkeypatch):
+    # W_p sums only nonzero lower pieces, so no sum is formed at a point
+    # whose piece is 0; on trivial lines the only nonzero interesting piece
+    # has no nonzero piece below it, and no sum is formed at all
+    calls = []
+    total = Subspace.sum
 
-    monkeypatch.setattr(ReesModule, "_top_is_identity", refuse)
-    rees_of(_seeded_mf())
+    def recording(self, other):
+        calls.append((self.dim, other.dim))
+        return total(self, other)
+
+    monkeypatch.setattr(Subspace, "sum", recording)
+    lines = rees_of(MultiFiltration([Filtration.trivial(1)] * MAX_FAMILY_SIZE))
+    seeded = rees_of(_seeded_mf())
+    for rees in (lines, seeded):
+        for size in range(rees.nvars + 1):
+            for varset in combinations(range(rees.nvars), size):
+                _image_sums(rees, frozenset(varset))
+        if rees is lines:
+            assert calls == []
+    assert calls and all(a and b for a, b in calls)
 
 
 def test_subobject_rows_build_no_presentations_or_matrices(monkeypatch):

@@ -1,5 +1,6 @@
 """JSON task documents: scalar grammar, round trips, task dispatch."""
 
+import itertools
 import json
 import random
 import pathlib
@@ -590,3 +591,63 @@ class TestBasisChange:
             assert after == before
             reports[task] = before
         return reports
+
+
+def _gaussian_family(lines):
+    """Filtrations of C^2 with index 0 at each line and index 1 at the whole
+    space."""
+    full = [["1", "0"], ["0", "1"]]
+    return [{"ambient_dim": 2, "steps": [{"index": "0", "basis": [list(v)]}, {"index": "1", "basis": full}]} for v in lines]
+
+
+def _line_pieces(count):
+    """Piece dimensions of distinct lines of C^2 on the box [-1, 2]^count: 0
+    below the box's first slice, else 2, 1 or 0 as no, one or several
+    coordinates sit at the lines."""
+    return {
+        ",".join(map(str, p)): 0 if -1 in p else {0: 2, 1: 1}.get(p.count(0), 0)
+        for p in itertools.product(range(-1, 3), repeat=count)
+    }
+
+
+class TestGaussianFamilies:
+    """Families with non-real Gaussian pieces through both compatibility
+    routes and the Rees tasks; the reports are pinned."""
+
+    CONJUGATE = _gaussian_family([("1", "0+1i"), ("1", "0"), ("1", "0-1i")])
+    PAIR = _gaussian_family([("1", "0+1i"), ("1", "0")])
+
+    def test_conjugate_lines_are_incompatible(self):
+        report = run_task(Document("check-compat", {"filtrations": self.CONJUGATE}))
+        assert report["verdict"] is False
+        assert report["details"] == {
+            "agreement": True,
+            "flatness_route": False,
+            "subquotient_route": False,
+            "witness": {"index_tuple": ["0", "0", "0"], "cell": [-1, 1, 1], "direction": 0},
+        }
+
+    def test_pair_is_compatible(self):
+        report = run_task(Document("check-compat", {"filtrations": self.PAIR}))
+        assert report["verdict"] is True
+        assert report["details"] == {"agreement": True, "flatness_route": True, "subquotient_route": True}
+
+    @pytest.mark.parametrize(
+        "family, multidegree, homology",
+        [
+            ("CONJUGATE", [1, 1, 1], {"-1": 1, "-2": 0, "-3": 0, "0": 0}),
+            ("PAIR", [1, 1], {"-1": 0, "-2": 0, "0": 0}),
+        ],
+    )
+    def test_koszul_homology(self, family, multidegree, homology):
+        filtrations = getattr(self, family)
+        payload = {"filtrations": filtrations, "sequence": list(range(len(filtrations))), "multidegree": multidegree}
+        report = run_task(Document("koszul-homology", payload))
+        assert report["verdict"] is True
+        assert report["details"] == {"homology": homology}
+
+    @pytest.mark.parametrize("family", ["CONJUGATE", "PAIR"])
+    def test_rees_summary(self, family):
+        filtrations = getattr(self, family)
+        report = run_task(Document("rees-summary", {"filtrations": filtrations}))
+        assert report["details"] == {"box": [[-1, 2]] * len(filtrations), "piece_dims": _line_pieces(len(filtrations))}

@@ -9,6 +9,7 @@ test_filtration.py; the two implementations share nothing but `Subspace`.
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from weightfilt import rees as rees_module
 from weightfilt.document import MAX_FAMILY_SIZE
-from weightfilt.exact import Matrix, QuotientPresentation, Subspace, image_of, sum_of
+from weightfilt.exact import GaussianRational, Matrix, Subspace, sum_of
 from weightfilt.filtration import (
     Filtration,
     MultiFiltration,
@@ -25,7 +26,6 @@ from weightfilt.filtration import (
 )
 from weightfilt.rees import (
     KoszulComplexData,
-    ReesModule,
     _first_irregular_permutation,
     _image_sums,
     _koszul_prefix_exact,
@@ -37,7 +37,17 @@ from weightfilt.rees import (
     rees_of,
 )
 
-from references import reference_image_sums, reference_is_flat, reference_koszul_prefix_exact
+from references import (
+    ReferenceReesModule,
+    reference_image_sums,
+    reference_is_flat,
+    reference_component,
+    reference_is_regular_sequence,
+    reference_koszul_homology,
+    reference_koszul_prefix_exact,
+    reference_rees_of,
+    reference_step_injective,
+)
 from strategies import multifiltrations, random_filtration, random_unimodular, two_step_filtration
 
 
@@ -53,6 +63,26 @@ def three_lines_mf():
     return MultiFiltration(
         [two_step_filtration(_line(1, 0)), two_step_filtration(_line(0, 1)), two_step_filtration(_line(1, 1))]
     )
+
+
+def gaussian_lines_mf():
+    # the lines of (1, i), (1, 0) and (1, -i): the first and last pieces
+    # are not real, so they keep no integer rows
+    return MultiFiltration([
+        two_step_filtration(Subspace.span([(1, GaussianRational(0, b))], 2)) for b in (1, 0, -1)
+    ])
+
+
+def _seeded_family(seed):
+    # hypothesis' own draws give few incompatible families (about 1 in 15);
+    # three seeded random filtrations of a 2- or 3-space give about 1 in 3
+    rng = random.Random(seed)
+    dim = rng.randint(2, 3)
+    return MultiFiltration([random_filtration(rng, dim) for _ in range(3)])
+
+
+def _families():
+    return st.one_of(multifiltrations(), st.integers(min_value=0, max_value=10**6).map(_seeded_family))
 
 
 class TestReesModule:
@@ -77,15 +107,19 @@ class TestReesModule:
         assert rees.piece_dim(top) == mf.ambient_dim
 
     def test_map_above_box_is_identity(self):
-        rees = rees_of(pair_mf())
+        # above the box the pieces repeat the top slice, so the variable
+        # acts there by the inclusion of a subspace into itself
+        mf = pair_mf()
+        rees = rees_of(mf)
         hi = tuple(h for _, h in rees.box)
         past = (hi[0] + 3,) + hi[1:]
-        m = rees.map_matrix(past, 0)
+        assert rees.piece(past) is rees.piece(hi) is rees.piece(rees._shift(past, 0, -1))
+        m = reference_rees_of(mf).map_matrix(past, 0)
         assert m == Matrix.identity(rees.piece_dim(hi))
 
     def test_squares_commute(self):
-        mf = pair_mf()
-        rees = rees_of(mf)
+        # the coordinate matrices of the inclusions of rees_of's pieces
+        rees = reference_rees_of(pair_mf(), validate=False)
         for p in rees.points():
             for i in range(rees.nvars):
                 for j in range(i + 1, rees.nvars):
@@ -96,7 +130,8 @@ class TestReesModule:
                     assert left == right
 
     def test_rejects_noncommuting_squares(self):
-        # 1-dim pieces with maps that cannot commute: x then y gives 1, y then x gives 2
+        # a hand-built matrix module, which only the reference still takes:
+        # 1-dim pieces whose maps cannot commute, x then y gives 1, y then x gives 2
         dims = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
         one = Matrix([[Fraction(1)]])
         two = Matrix([[Fraction(2)]])
@@ -107,7 +142,22 @@ class TestReesModule:
             ((1, 1), 1): two,   # from (1,0)
         }
         with pytest.raises(ValueError):
-            ReesModule(2, [(0, 1), (0, 1)], dims, maps, validate=True)
+            ReferenceReesModule(2, [(0, 1), (0, 1)], dims, maps, validate=True)
+
+    @given(mf=multifiltrations())
+    @example(mf=MultiFiltration([Filtration(0, [])]))
+    @settings(max_examples=25, deadline=None)
+    def test_piece_dims_cover_the_box(self, mf):
+        # the benchmark counts box points as the length of piece_dims
+        rees = rees_of(mf)
+        assert len(rees.piece_dims) == prod(hi - lo + 1 for lo, hi in rees.box) == len(rees.points())
+        assert rees.piece_dims == {p: rees.piece(p).dim for p in rees.points()}
+
+    def test_zero_pieces_share_one_subspace(self):
+        rees = rees_of(three_lines_mf())
+        zeros = {id(rees.piece(p)) for p in rees.points() if not rees.piece_dim(p)}
+        below = tuple(lo - 1 for lo, _ in rees.box)
+        assert zeros == {id(rees.piece(below))}
 
 
 class TestKoszul:
@@ -118,6 +168,24 @@ class TestKoszul:
             data = KoszulComplexData(rees, [0, 1], pt)
             for t in range(1, len(data.differentials)):
                 assert (data.differentials[t - 1] * data.differentials[t]).is_zero()
+
+    @given(mf=_families())
+    @example(mf=three_lines_mf())
+    @example(mf=MultiFiltration([Filtration(0, [])]))
+    @settings(max_examples=25, deadline=None)
+    def test_components_form_a_subcomplex(self, mf):
+        # d_t(C_t) <= C_{t-1}, with C_t the sum of the lowered pieces in V^C(r, t)
+        rees = rees_of(mf)
+        seq = tuple(range(rees.nvars))
+        for p in rees.interesting_points():
+            data = KoszulComplexData(rees, seq, p)
+            comps = [
+                Subspace.span(reference_component(rees, seq, p, t), rees.ambient_dim * comb(len(seq), t))
+                for t in range(len(seq) + 1)
+            ]
+            assert tuple(c.dim for c in comps) == data.component_dims
+            for t, d in enumerate(data.differentials, start=1):
+                assert comps[t].image_under(d) <= comps[t - 1]
 
     def test_homology_keys_and_bounds(self):
         rees = rees_of(pair_mf())
@@ -140,6 +208,12 @@ class TestKoszul:
         rees = rees_of(pair_mf())
         with pytest.raises(ValueError):
             KoszulComplexData(rees, [0, 0], (0, 0))
+
+    def test_variable_out_of_range_rejected(self):
+        # a variable the module does not have would lower no coordinate
+        rees = rees_of(pair_mf())
+        with pytest.raises(ValueError, match="out of range"):
+            koszul_homology(rees, [0, 2], (1, 1))
 
 
 class TestFlatness:
@@ -179,29 +253,9 @@ class TestFlatness:
             assert hom[0] == graded_piece(mf, point).dim
 
 
-def _reference_step_injective(rees, varset, nxt):
-    """The induced-matrix step test that `_step_injective` replaced.
-
-    At every point, present the quotient of the piece by the images of
-    ``varset`` with coset representatives, and rank the matrix that the
-    next variable induces between consecutive quotients.
-    """
-    quots = {}
-    for p in rees.interesting_points():
-        d = rees.piece_dim(p)
-        images = [image_of(rees.map_matrix(p, j)) for j in varset]
-        quots[p] = QuotientPresentation(Subspace.full(d), sum_of(images, d))
-    for p, tgt in quots.items():
-        src = quots.get(rees._shift(p, nxt, -1))
-        if src is None or src.dim == 0:
-            continue
-        if src.induced_matrix(rees.map_matrix(p, nxt), tgt).rank() != src.dim:
-            return False
-    return True
-
-
 def _recoordinatized(rees, rng, keep_top):
-    """A hand-built copy of ``rees`` with piece p in new coordinates g_p.
+    """A hand-built copy of the matrix module ``rees`` with piece p in new
+    coordinates g_p.
 
     Each map m into p from q = p - e_i becomes ``g_p m g_q^{-1}``.  With
     ``keep_top`` the top slice of every axis shares its g with the slice
@@ -227,7 +281,7 @@ def _recoordinatized(rees, rng, keep_top):
         if m.rows and m.cols:
             m = g(p) * m * g(rees._shift(p, i, -1)).inverse()
         maps[(p, i)] = m
-    return ReesModule(rees.nvars, rees.box, rees.piece_dims, maps, validate=True)
+    return ReferenceReesModule(rees.nvars, rees.box, rees.piece_dims, maps, validate=True)
 
 
 def _subsets_and_next(n):
@@ -238,45 +292,58 @@ def _subsets_and_next(n):
                     yield frozenset(varset), nxt
 
 
-def _seeded_family(seed):
-    # hypothesis' own draws give few incompatible families (about 1 in 15);
-    # three seeded random filtrations of a 2- or 3-space give about 1 in 3
-    rng = random.Random(seed)
-    dim = rng.randint(2, 3)
-    return MultiFiltration([random_filtration(rng, dim) for _ in range(3)])
+def _certificate(cert):
+    return (cert.regular, cert.failed_prefix) if hasattr(cert, "regular") else (cert.flat, cert.witness_kind, cert.witness)
 
 
 class TestStepByDimension:
-    """`_step_injective` decides by dimension what the reference ranks."""
+    """The pieces decide what the matrix reference decides with induced
+    matrices and `Fraction` grids, on its module and on hand-built copies
+    of it in other coordinates."""
 
-    @given(
-        mf=st.one_of(multifiltrations(), st.integers(min_value=0, max_value=10**6).map(_seeded_family)),
-        seed=st.integers(min_value=0, max_value=2**32),
-        keep_top=st.booleans(),
-    )
+    @given(mf=_families(), seed=st.integers(min_value=0, max_value=2**32), keep_top=st.booleans())
     @example(mf=three_lines_mf(), seed=0, keep_top=True)
     @example(mf=three_lines_mf(), seed=1, keep_top=False)
     @example(mf=pair_mf(), seed=2, keep_top=False)
+    @example(mf=MultiFiltration([Filtration(0, [])] * 2), seed=3, keep_top=False)
+    @example(mf=MultiFiltration([two_step_filtration(_line(1, 1))]), seed=4, keep_top=False)
+    @example(mf=gaussian_lines_mf(), seed=5, keep_top=True)
     @settings(max_examples=60, deadline=None)
     def test_step_matches_induced_matrix_reference(self, mf, seed, keep_top):
         rees = rees_of(mf)
-        hand = _recoordinatized(rees, random.Random(seed), keep_top)
+        ref = reference_rees_of(mf)
+        assert ref.piece_dims == rees.piece_dims and all(ref.saturated_top)
+        hand = _recoordinatized(ref, random.Random(seed), keep_top)
         if keep_top:
             assert all(hand.saturated_top)
-        for module in (rees, hand):
-            for varset, nxt in _subsets_and_next(module.nvars):
-                assert _step_injective(module, varset, nxt) == _reference_step_injective(module, varset, nxt)
-        for seq in permutations(range(rees.nvars)):
-            want = is_regular_sequence(rees, seq)
-            got = is_regular_sequence(hand, seq)
-            assert (got.regular, got.failed_prefix) == (want.regular, want.failed_prefix)
-        want, got = is_flat(rees), is_flat(hand)
-        assert (got.flat, got.witness_kind, got.witness) == (want.flat, want.witness_kind, want.witness)
+        n = rees.nvars
+        for varset, nxt in _subsets_and_next(n):
+            want = _step_injective(rees, varset, nxt)
+            assert reference_step_injective(ref, varset, nxt) == want
+            assert reference_step_injective(hand, varset, nxt) == want
+        # the Koszul and regularity routes on the hand-built copy only: it
+        # is ref in other coordinates, the stronger check of the two
+        homology, regular = {}, {}
+        for varset in _nonempty_subsets(n):
+            seq = tuple(sorted(varset))
+            for p in hand.interesting_points():
+                homology[seq, p] = reference_koszul_homology(hand, seq, p)
+                assert homology[seq, p] == koszul_homology(rees, seq, p)
+
+        def reference_regular(module, seq):
+            # each grid complex above is built once
+            if seq not in regular:
+                regular[seq] = reference_is_regular_sequence(module, seq, lambda m, q, p: homology[tuple(q), p])
+            return regular[seq]
+
+        for seq in permutations(range(n)):
+            assert _certificate(reference_regular(hand, seq)) == _certificate(is_regular_sequence(rees, seq))
+        assert _certificate(reference_is_flat(hand, reference_regular)) == _certificate(is_flat(rees))
 
 
 def _non_monotone_module():
-    """A hand-built module whose piece dimensions rise and fall: 1, 2, 0
-    along the bottom row, and a zero map out of a nonzero piece."""
+    """A hand-built matrix module whose piece dimensions rise and fall: 1,
+    2, 0 along the bottom row, and a zero map out of a nonzero piece."""
     one = Matrix([[Fraction(1)]])
     dims = {(0, 0): 1, (1, 0): 2, (2, 0): 0, (0, 1): 1, (1, 1): 1, (2, 1): 1}
     maps = {
@@ -286,7 +353,7 @@ def _non_monotone_module():
         ((0, 1), 1): one,
         ((1, 1), 1): Matrix([[Fraction(1), Fraction(0)]]),
     }
-    return ReesModule(2, [(0, 2), (0, 1)], dims, maps, validate=True)
+    return ReferenceReesModule(2, [(0, 2), (0, 1)], dims, maps, validate=True)
 
 
 def _nonempty_subsets(n):
@@ -297,35 +364,40 @@ def _nonempty_subsets(n):
 
 class TestZeroPiecesSkipped:
     """Both regularity routes skip zero pieces and agree with the loops
-    that visited every interesting point."""
+    that visited every interesting point of the matrix module."""
 
-    @staticmethod
-    def _assert_routes_match_references(module):
-        for varset in _nonempty_subsets(module.nvars):
-            assert _koszul_prefix_exact(module, varset) == reference_koszul_prefix_exact(module, varset)
-        for varset in [frozenset()] + list(_nonempty_subsets(module.nvars)):
-            assert _image_sums(module, varset) == reference_image_sums(module, varset)
-
-    @given(
-        mf=st.one_of(multifiltrations(), st.integers(min_value=0, max_value=10**6).map(_seeded_family)),
-        seed=st.integers(min_value=0, max_value=2**32),
-        keep_top=st.booleans(),
-    )
+    @given(mf=_families(), seed=st.integers(min_value=0, max_value=2**32), keep_top=st.booleans())
     @example(mf=three_lines_mf(), seed=0, keep_top=True)
     @example(mf=three_lines_mf(), seed=1, keep_top=False)
     @settings(max_examples=40, deadline=None)
     def test_routes_match_all_point_references(self, mf, seed, keep_top):
         rees = rees_of(mf)
-        for module in (rees, _recoordinatized(rees, random.Random(seed), keep_top)):
-            self._assert_routes_match_references(module)
+        ref = reference_rees_of(mf)
+        modules = (ref, _recoordinatized(ref, random.Random(seed), keep_top))
+        for varset in _nonempty_subsets(rees.nvars):
+            want = _koszul_prefix_exact(rees, varset)
+            assert reference_koszul_prefix_exact(rees, varset) == want
+            for module in modules:
+                assert reference_koszul_prefix_exact(module, varset, reference_koszul_homology) == want
+        for varset in [frozenset()] + list(_nonempty_subsets(rees.nvars)):
+            sums = _image_sums(rees, varset)
+            for module in modules:
+                want = reference_image_sums(module, varset)
+                assert all(want[p].dim == (sums[p].dim if p in sums else 0) for p in rees.interesting_points())
+            for p, w in sums.items():
+                lower = [rees.piece(rees._shift(p, j, -1)) for j in varset]
+                assert w == sum_of(lower, rees.ambient_dim)
 
     def test_non_monotone_module_matches_references(self):
+        # reference-only: the matrix module's two routes agree on it
         module = _non_monotone_module()
         assert module.saturated_top == (False, False)
-        self._assert_routes_match_references(module)
+        for seq in permutations(range(2)):
+            reference_is_regular_sequence(module, seq)
         # the map out of the 2-dim piece at (1, 0) kills a vector
-        assert not is_regular_sequence(module, (0,)).regular
-        assert not reference_koszul_prefix_exact(module, frozenset({0}))
+        assert not reference_is_regular_sequence(module, (0,)).regular
+        assert not reference_step_injective(module, frozenset(), 0)
+        assert not reference_koszul_prefix_exact(module, frozenset({0}), reference_koszul_homology)
 
 
 def _outcome(flat_test, rees):

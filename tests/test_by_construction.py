@@ -168,6 +168,34 @@ def _seeded_mf():
     return MultiFiltration([random_filtration(rng, 3) for _ in range(3)])
 
 
+def test_rees_of_does_not_check_squares(monkeypatch):
+    # every variable acts by an inclusion of pieces, so rees_of builds no
+    # structure matrix whose squares could be checked
+    def refuse(*args, **kwargs):
+        raise AssertionError("rees_of built a Matrix")
+
+    mf = _seeded_mf()
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(Matrix, "_trusted", classmethod(refuse))
+    rees = rees_of(mf)
+    assert rees.pieces
+
+
+def test_rees_of_does_not_test_its_top_slices(monkeypatch):
+    # the top slices are taken as saturated: rees_of compares no piece with
+    # the one below it (test_rees_of_top_slices_are_identities does); the
+    # uncached intersection stands in, since the cache compares its keys
+    def refuse(self, other):
+        raise AssertionError("rees_of compared two subspaces")
+
+    mf = _seeded_mf()
+    monkeypatch.setattr(exact, "_sum_and_intersection", _sum_and_intersection.__wrapped__)
+    for name in ("__eq__", "__le__", "contains"):
+        monkeypatch.setattr(Subspace, name, refuse)
+    rees = rees_of(mf)
+    assert rees.pieces
+
+
 def test_check_compat_builds_no_matrix(monkeypatch):
     # a rational family is decided by both routes on subspaces alone; no
     # structure matrix is built, so there is no square or top slice to check

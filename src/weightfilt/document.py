@@ -35,6 +35,7 @@ from .fixtures import MAX_FIXTURE_SIZE, fixture_nilsson, fixture_summary
 
 FORMAT_TAG = "weightfilt.v1"
 MAX_FAMILY_SIZE = 8  # most filtrations a check-compat, koszul-homology or rees-summary payload may hold
+MAX_SCALAR_DIGITS = 4300  # most digits of one integer in a scalar; CPython's default `int` string limit
 
 _INT_RE = r"-?(?:0|[1-9]\d*)"
 _RAT_RE = rf"{_INT_RE}(?:/\d+)?"
@@ -51,6 +52,10 @@ class DocumentError(ValueError):
 
 
 def _parse_rational(text: str, path: str) -> Fraction:
+    if len(text) > MAX_SCALAR_DIGITS:
+        longest = max(len(part.lstrip("-")) for part in text.split("/"))
+        if longest > MAX_SCALAR_DIGITS:
+            raise DocumentError(path, f"an integer of {longest} digits exceeds the limit {MAX_SCALAR_DIGITS}")
     if "/" in text:
         num_s, den_s = text.split("/", 1)
         num, den = int(num_s), int(den_s)
@@ -329,6 +334,11 @@ def parse(text: str) -> Document:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("$", f"invalid JSON: {exc}") from None
+    except ValueError:
+        # raised by `int` on a JSON integer longer than it converts
+        raise DocumentError("$", "invalid JSON: an integer has too many digits") from None
+    except RecursionError:
+        raise DocumentError("$", "invalid JSON: nested too deeply") from None
     d = _expect_dict(raw, "$")
     fmt = _get(d, "format", "$")
     if fmt != FORMAT_TAG:

@@ -895,9 +895,13 @@ class Subspace(Immutable):
             raise ValueError("ambient dimension mismatch")
         if self._rows is None or other._rows is None:
             return all(self.contains_vector(b) for b in other.basis)
+        return self._contains_rows(other)
+
+    def _contains_rows(self, other: "Subspace") -> bool:
+        """`contains` for two rational subspaces of one ambient space."""
         # every leading column of a subspace is a leading column of any
         # subspace containing it
-        if not set(other._pivots) <= set(self._pivots):
+        if other.dim > self.dim or not set(other._pivots) <= set(self._pivots):
             return False
         return all(not any(self._residue(x)[0]) for x in other._rows)
 
@@ -1002,11 +1006,31 @@ class Subspace(Immutable):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
+def _nested_in(u: Subspace, w: Subspace) -> bool:
+    """Whether ``u <= w`` is known without elimination: u is zero or w is
+    full, or both are rational and every row of u reduces to zero against
+    w.  Other pairs with a non-real Gaussian operand are left to the
+    elimination."""
+    if u.is_zero() or w.is_full():
+        return True
+    return u._rows is not None and w._rows is not None and w._contains_rows(u)
+
+
 @lru_cache(maxsize=1 << 10)
 def _sum_and_intersection(u: Subspace, w: Subspace) -> Tuple[Subspace, Subspace]:
-    """Zassenhaus: one elimination yields both the sum and the intersection."""
+    """Zassenhaus: one elimination yields both the sum and the intersection.
+
+    When one operand lies in the other (see `_nested_in`), the pair is
+    ``(larger, smaller)`` and no elimination runs; both are canonical
+    already.  Nesting is tested on pivots and rows, not through
+    `Subspace.contains` or ``==``.
+    """
     if u.ambient_dim != w.ambient_dim:
         raise ValueError("ambient dimension mismatch")
+    if _nested_in(u, w):
+        return w, u
+    if _nested_in(w, u):
+        return u, w
     n = u.ambient_dim
     # Eliminate the block rows (b | b) for b in u and (b | 0) for b in w.
     # Each resulting row is its RREF row times a nonzero scalar, so it is

@@ -38,7 +38,9 @@ class NilpotentOperator(Immutable):
 
     ``exponent`` is the smallest e with ``N^e == 0``; the zero map on a
     nonzero space has exponent 1.  ``nil_order`` is the largest power with
-    nonzero value, i.e. ``exponent - 1``.
+    nonzero value, i.e. ``exponent - 1``.  `image` keeps each image
+    ``N^k · space`` it computes in a private memo that lives and dies with
+    the operator; it holds images only, never a verdict.
 
     >>> j2 = NilpotentOperator(Matrix.from_rows([[0, 0], [1, 0]]))
     >>> j2.exponent
@@ -51,7 +53,7 @@ class NilpotentOperator(Immutable):
     ValueError: operator is not nilpotent
     """
 
-    __slots__ = ("matrix", "dim", "exponent", "_powers")
+    __slots__ = ("matrix", "dim", "exponent", "_powers", "_images")
 
     def __init__(self, matrix: Matrix) -> None:
         if not matrix.is_square():
@@ -71,6 +73,7 @@ class NilpotentOperator(Immutable):
         object.__setattr__(self, "dim", matrix.rows)
         object.__setattr__(self, "exponent", e)
         object.__setattr__(self, "_powers", tuple(powers))
+        object.__setattr__(self, "_images", {})
 
     @property
     def nil_order(self) -> int:
@@ -80,6 +83,14 @@ class NilpotentOperator(Immutable):
         if k < len(self._powers):
             return self._powers[k]
         return Matrix.zero(self.dim, self.dim)
+
+    def image(self, space: Subspace, k: int = 1) -> Subspace:
+        """``N^k · space``, computed once per ``(space, k)`` pair."""
+        key = (space, k)
+        got = self._images.get(key)
+        if got is None:
+            got = self._images[key] = space.image_under(self.power(k))
+        return got
 
     def kernel_of_power(self, k: int) -> Subspace:
         return kernel_of(self.power(k))
@@ -155,7 +166,7 @@ def _check_weight_axioms(
     """`verify_weight_axioms` for the filtration of an N-stable interval
     with strict jumps ``steps`` over the value ``bottom`` below them."""
     for k, value in steps:
-        if not step_value(steps, bottom, k - 2).contains(value.image_under(op.matrix)):
+        if not step_value(steps, bottom, k - 2).contains(op.image(value)):
             raise WeightAxiomFailure(f"operator does not lower the filtration by two at {k}")
     if not steps:
         return
@@ -171,7 +182,7 @@ def _check_weight_axioms(
         if hi == 0:
             continue
         under = step_value(steps, bottom, c - ell, strict=True)
-        if step_value(steps, bottom, c + ell).image_under(op.power(ell)).sum(under).dim - under.dim != hi:
+        if op.image(step_value(steps, bottom, c + ell), ell).sum(under).dim - under.dim != hi:
             raise WeightAxiomFailure(
                 f"power {ell} does not induce an isomorphism between pieces {c + ell} and {c - ell}"
             )
@@ -191,7 +202,7 @@ def _weight_steps(op: NilpotentOperator, a: Subspace, b: Subspace, c: Index) -> 
     for m in range(min(op.nil_order, b.dim - a.dim - 1), 0, -1):
         if a == b:
             break
-        moved = b.image_under(op.power(m))
+        moved = op.image(b, m)
         if a.contains(moved):
             continue
         high.append((c + m, b))
@@ -292,7 +303,7 @@ def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyR
     for k in jumps:
         if not isinstance(k, int):
             raise ValueError(f"relative weight filtrations need integer indices, got {k!r}")
-        if not lfilt.value_at(k).contains(lfilt.value_at(k).image_under(op.matrix)):
+        if not lfilt.value_at(k).contains(op.image(lfilt.value_at(k))):
             raise ValueError("operator does not preserve the auxiliary filtration")
     if not jumps:
         return RelativeMonodromyResult(True, Filtration(d, []), None)
@@ -308,7 +319,7 @@ def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyR
     full = Subspace.full(d)
     values = _complete(op, weights, pre, lo, hi)
     candidate = Filtration(d, [(ell, values[ell]) for ell in range(lo, hi)] + [(hi, full)])
-    failure = _relative_axiom_failure(candidate, op.matrix, lfilt, pre, lo, hi)
+    failure = _relative_axiom_failure(candidate, op, lfilt, pre, lo, hi)
     if failure is None:
         return RelativeMonodromyResult(True, candidate, None)
 
@@ -325,13 +336,13 @@ def relative_monodromy(n: OperatorLike, lfilt: Filtration) -> RelativeMonodromyR
     edges = {lo - 2: Subspace.zero(d), lo - 1: Subspace.zero(d), hi: full, hi + 1: full}
     lb = {**edges, **{ell: pre[(jumps[0], ell)] for ell in range(lo, hi)}}
     ub = {**edges, **{ell: pre[(jumps[-1], ell)] for ell in range(lo, hi)}}
-    certificate = _squeeze(op.matrix, lfilt, pre, forced, lb, ub, lo, hi)
+    certificate = _squeeze(op, lfilt, pre, forced, lb, ub, lo, hi)
     if certificate is None:
         which = "constructed"
         if all(lb[ell] == ub[ell] for ell in range(lo, hi)):
             which = "unique"
             pinned = Filtration(d, [(ell, lb[ell]) for ell in range(lo, hi)] + [(hi, full)])
-            failure = _relative_axiom_failure(pinned, op.matrix, lfilt, pre, lo, hi)
+            failure = _relative_axiom_failure(pinned, op, lfilt, pre, lo, hi)
         level, msg = failure
         certificate = NonexistenceCertificate(level, "axiom", None, f"{which} candidate fails certification: {msg}")
     return RelativeMonodromyResult(False, None, certificate)
@@ -361,7 +372,7 @@ def _complete(
             level = k + j
             while not moved.is_zero():
                 fresh.setdefault(max(level, lo), []).append(moved)
-                moved, level = moved.image_under(op.matrix), level - 2
+                moved, level = op.image(moved), level - 2
         added = zero
         for ell in range(lo, hi):
             for moved in fresh.get(ell, ()):
@@ -371,7 +382,7 @@ def _complete(
 
 
 def _squeeze(
-    matrix: Matrix,
+    op: NilpotentOperator,
     lfilt: Filtration,
     pre: Dict[Tuple[int, int], Subspace],
     forced: Dict[Tuple[int, int], int],
@@ -398,9 +409,9 @@ def _squeeze(
     while True:
         before = state_signature()
         for ell in range(hi - 1, lo - 1, -1):
-            ub[ell] = ub[ell].intersect(ub[ell + 1]).intersect(ub[ell - 2].preimage_under(matrix))
+            ub[ell] = ub[ell].intersect(ub[ell + 1]).intersect(ub[ell - 2].preimage_under(op.matrix))
         for ell in range(lo, hi):
-            lb[ell] = lb[ell].sum(lb[ell - 1]).sum(lb[ell + 2].image_under(matrix))
+            lb[ell] = lb[ell].sum(lb[ell - 1]).sum(op.image(lb[ell + 2]))
         for ell in range(lo, hi):
             for k in jumps:
                 cap = ub[ell].intersect(pre[(k, ell)])
@@ -441,7 +452,7 @@ def _squeeze(
 
 
 def _relative_axiom_failure(
-    m: Filtration, matrix: Matrix, lfilt: Filtration, pre: Dict[Tuple[int, int], Subspace], lo: int, hi: int
+    m: Filtration, op: NilpotentOperator, lfilt: Filtration, pre: Dict[Tuple[int, int], Subspace], lo: int, hi: int
 ) -> Optional[Tuple[int, str]]:
     """None if ``m`` satisfies both relative axioms, else (level, reason).
 
@@ -450,7 +461,7 @@ def _relative_axiom_failure(
     Below ``lo`` and from ``hi`` on, both sides are ``L_{<k}`` and ``L_k``.
     """
     for ell in m.jumps():
-        moved = m.value_at(ell).image_under(matrix)
+        moved = op.image(m.value_at(ell))
         if not m.value_at(ell - 2).contains(moved):
             return ell, f"operator does not lower the candidate by two at level {ell}"
     for k in lfilt.jumps():

@@ -5,7 +5,9 @@ Each exact-kernel function here is the `Fraction` (or Gaussian) field loop
 that the library ran before its integer kernels, kept so that differential
 tests can compare the fast paths with it.  A span is represented as the
 pair ``(rref rows, pivots)``, both tuples, which is what
-``Subspace.basis`` and ``Subspace._pivots`` give.  The Rees functions
+``Subspace.basis`` and ``Subspace._pivots`` give.  The elimination-only
+Zassenhaus step on `Subspace`s is kept too, from before nested pairs
+skipped it.  The Rees functions
 keep the module the library stored before it read its pieces directly:
 piece dimensions and a coordinate matrix for each structure map, with the
 squares and top slices of a hand-built module checked, regularity decided
@@ -31,8 +33,12 @@ from weightfilt.exact import (
     Matrix,
     QuotientPresentation,
     Subspace,
+    _eliminate,
+    _field_span,
+    _primitive,
     image_of,
     intersection_of,
+    rref,
     solve_columns,
     sum_of,
 )
@@ -110,6 +116,30 @@ def reference_zassenhaus(u, w, n):
     return (
         (tuple(tuple(row[:n]) for row in reduced[:k]), tuple(pivots[:k])),
         (tuple(tuple(row[n:]) for row in reduced[k:]), tuple(p - n for p in pivots[k:])),
+    )
+
+
+def reference_sum_and_intersection(u, w):
+    """`exact._sum_and_intersection` as it was before it returned nested
+    pairs as they are: every pair of `Subspace`s goes through one
+    elimination of the Zassenhaus block, on integer rows when both are
+    rational and over Q(i) otherwise."""
+    n = u.ambient_dim
+    if u._rows is not None and w._rows is not None:
+        block = [list(b) * 2 for b in u._rows] + [list(b) + [0] * n for b in w._rows]
+        pivots = _eliminate(block, above=True)
+        k = sum(1 for p in pivots if p < n)
+        left = tuple(_primitive(row[:n], p) for row, p in zip(block, pivots[:k]))
+        right = tuple(_primitive(row[n:], p - n) for row, p in zip(block[k:], pivots[k:]))
+        return (
+            Subspace._make(n, (left, tuple(pivots[:k]), None)),
+            Subspace._make(n, (right, tuple(p - n for p in pivots[k:]), None)),
+        )
+    reduced, pivots = rref([list(b) * 2 for b in u.basis] + [list(b) + [Fraction(0)] * n for b in w.basis])
+    k = sum(1 for p in pivots if p < n)
+    return (
+        Subspace._make(n, _field_span([row[:n] for row in reduced[:k]], pivots[:k])),
+        Subspace._make(n, _field_span([row[n:] for row in reduced[k:]], [p - n for p in pivots[k:]])),
     )
 
 

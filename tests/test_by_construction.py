@@ -1,7 +1,8 @@
 """Reference checks for invariants that hold by construction.
 
 `Subspace.zero`, `Subspace.full` and the Zassenhaus sum and intersection
-store their rows as the canonical basis without reducing them again,
+store their rows as the canonical basis without reducing them again, and
+the Zassenhaus step returns a nested rational pair without eliminating,
 `rees_of` stores nested pieces, whose inclusions commute (the matrix
 module that checked its squares is in references.py), takes its top slices
 as saturated, builds each piece from the one before it on its axis and
@@ -27,7 +28,7 @@ ints and builds one `Matrix`; and every weight filtration, absolute or
 relative, and the nested graded dimensions of a commuting family are built
 on intervals of the subspace lattice, with no `QuotientPresentation` and no
 Jordan chain (the chain and coset-coordinate references are in
-references.py).  Each test here recomputes what is no longer checked at
+references.py), imaging each subspace once per power of one operator.  Each test here recomputes what is no longer checked at
 run time.
 """
 
@@ -67,6 +68,7 @@ from strategies import (
     multifiltrations,
     nilpotent_matrices,
     random_filtration,
+    random_orbit_problem,
     random_unimodular,
     small_fractions,
     subspaces,
@@ -194,6 +196,54 @@ def test_rees_of_does_not_test_its_top_slices(monkeypatch):
         monkeypatch.setattr(Subspace, name, refuse)
     rees = rees_of(mf)
     assert rees.pieces
+
+
+def test_zassenhaus_eliminates_no_nested_rational_pair(monkeypatch):
+    # when one operand lies in the other, the sum is the larger and the
+    # intersection the smaller, both returned as they are
+    plane = Subspace.span([(1, 2, 0), (0, 1, 3)], 3)
+    line = Subspace.span([(2, 5, 3)], 3)
+    again = Subspace.span([(1, 3, 3), (1, 2, 0)], 3)
+    zero, full, axis = Subspace.zero(3), Subspace.full(3), Subspace.span([(1, 0, 0)], 3)
+    eliminated = []
+    eliminate = exact._eliminate
+    monkeypatch.setattr(exact, "_eliminate", lambda mat, above: eliminated.append(len(mat)) or eliminate(mat, above))
+    cases = [
+        ((line, plane), (plane, line)),
+        ((plane, line), (plane, line)),
+        ((plane, again), (again, plane)),
+        ((zero, plane), (plane, zero)),
+        ((plane, full), (full, plane)),
+    ]
+    for pair, (total, common) in cases:
+        got = _sum_and_intersection.__wrapped__(*pair)
+        assert got[0] is total and got[1] is common
+    assert eliminated == []
+    _sum_and_intersection.__wrapped__(line, axis)
+    assert eliminated == [2]
+
+
+def test_monodromy_images_each_space_once_per_power(monkeypatch):
+    # an operator keeps the images it has computed, so within the absolute
+    # and relative weight filtrations of one operator, refuted ones
+    # included, no subspace is imaged twice under the same power
+    problems = [random_orbit_problem(random.Random(seed)) for seed in range(12)]
+    seen = []
+    image_under = Subspace.image_under
+
+    def recording(self, m):
+        seen.append((self, m))
+        return image_under(self, m)
+
+    monkeypatch.setattr(Subspace, "image_under", recording)
+    outcomes = set()
+    for n, lfilt in problems:
+        seen.clear()
+        op = NilpotentOperator(n)
+        monodromy_filtration(op, center=1)
+        outcomes.add(relative_monodromy(op, lfilt).exists)
+        assert seen and len(set(seen)) == len(seen)
+    assert outcomes == {True, False}
 
 
 def test_check_compat_builds_no_matrix(monkeypatch):

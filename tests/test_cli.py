@@ -163,6 +163,40 @@ class TestExitCodes:
         assert res.exit_code == 2
         assert "input error: $.payload.filtrations: 9 filtrations exceed the limit 8" in res.stderr
 
+def _monodromy_text(operator="0", center="0"):
+    return (
+        '{"format": "weightfilt.v1", "task": "check-monodromy", '
+        f'"payload": {{"operator": [["{operator}"]], "center": {center}}}}}'
+    )
+
+
+class TestGoldenErrors:
+    """Refused documents: exit 2, an empty stdout and this exact stderr."""
+
+    CASES = [
+        (
+            "long-scalar",
+            _monodromy_text(operator="1" * 5000),
+            "input error: $.payload.operator[0][0]: an integer of 5000 digits exceeds the limit 4300\n",
+        ),
+        (
+            "long-json-integer",
+            _monodromy_text(center="1" * 5000),
+            "input error: $: invalid JSON: an integer has too many digits\n",
+        ),
+        ("deep-json", "[" * 100_000 + "]" * 100_000, "input error: $: invalid JSON: nested too deeply\n"),
+    ]
+
+    @pytest.mark.parametrize("text,message", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_refusal_matches_golden(self, runner, tmp_path, text, message):
+        p = tmp_path / "doc.json"
+        p.write_text(text)
+        res = runner.invoke(main, ["check", "monodromy", "--input", str(p)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == message
+
+
 class TestStdin:
     def test_dash_reads_stdin(self, runner):
         text = (GOLDEN / "doc_monodromy_pass.json").read_text()

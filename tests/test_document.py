@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from weightfilt.document import (
     FORMAT_TAG,
     MAX_FAMILY_SIZE,
+    MAX_SCALAR_DIGITS,
     Document,
     DocumentError,
     KNOWN_TASKS,
@@ -414,6 +415,42 @@ class TestDocumentFuzz:
         # N e1 = e2 lowers degree 1 to -1 and is isotropic for the pairing
         payload = _plane_payload(([1], [-1]), [_PLANE_OPERATORS[1]], _PLANE_PAIRINGS[0])
         assert _report_or_input_error("check-lefschetz", payload)["verdict"] is True
+
+    @given(
+        digits=st.integers(min_value=MAX_SCALAR_DIGITS - 2, max_value=MAX_SCALAR_DIGITS + 1000),
+        where=st.sampled_from(["numerator", "denominator", "json"]),
+    )
+    @example(digits=5000, where="numerator")
+    @example(digits=5000, where="json")
+    @settings(max_examples=20, deadline=None)
+    def test_long_integers(self, digits, where):
+        # a scalar part or a JSON integer past the limit is refused at
+        # parse time; `int` would refuse it with a bare ValueError
+        big = "7" * digits
+        if where == "json":
+            payload = dict(KOSZUL_PAYLOAD, sequence="BIG")
+            text = json.dumps({"format": FORMAT_TAG, "task": "koszul-homology", "payload": payload})
+            text = text.replace('"BIG"', f"[{big}]")
+        else:
+            scalar = big if where == "numerator" else f"1/{big}"
+            payload = {"operator": [["0", scalar], ["0", "0"]]}
+            text = json.dumps({"format": FORMAT_TAG, "task": "check-monodromy", "payload": payload})
+        over = digits > MAX_SCALAR_DIGITS
+        try:
+            report = run_task(parse(text))
+        except DocumentError as exc:
+            assert over or where == "json"
+            assert ("digits" in exc.reason) == over
+        else:
+            assert not over and report["verdict"] is True
+
+    @given(depth=st.integers(min_value=1, max_value=200_000))
+    @example(depth=100_000)
+    @settings(max_examples=20, deadline=None)
+    def test_deep_json(self, depth):
+        with pytest.raises(DocumentError) as err:
+            parse("[" * depth + "]" * depth)
+        assert err.value.path == "$"
 
     @given(
         denominator=st.one_of(

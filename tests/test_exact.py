@@ -15,6 +15,7 @@ from weightfilt.exact import (
     QuotientPresentation,
     Subspace,
     _int_form,
+    _sum_and_intersection,
     exp_nilpotent,
     image_of,
     is_positive_definite,
@@ -34,6 +35,7 @@ from references import (
     reference_reduce,
     reference_rref,
     reference_span,
+    reference_sum_and_intersection,
     reference_zassenhaus,
 )
 from strategies import (
@@ -682,8 +684,55 @@ def _span_pair(draw):
     return n, draw(_span_rows(n, draw(st.sampled_from(kinds)))), draw(_span_rows(n, draw(st.sampled_from(kinds))))
 
 
+@st.composite
+def _zassenhaus_pair(draw):
+    """Two subspaces of one width, each rational or Gaussian: independent,
+    with the same leading columns, one inside the other either way, equal,
+    or with a zero or full operand."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    kinds = [_rational_entries, _gaussian_entries]
+    entries = draw(st.sampled_from(kinds))
+    u = Subspace(n, draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=max(n - 1, 0))))
+    entries = draw(st.sampled_from(kinds))
+    relation = draw(st.sampled_from(["random", "tilted", "inside", "around", "equal", "zero", "full"]))
+    if relation == "random":
+        w = Subspace(n, draw(_span_rows(n, entries)))
+    elif relation == "tilted":
+        # the basis of u moved off u within its leading columns' pattern
+        free = [j for j in range(n) if j not in u._pivots]
+        tilts = [(draw(st.sampled_from(free)), draw(entries)) if free else (0, 0) for _ in u.basis]
+        w = Subspace(n, [[x + (c if j == f else 0) for j, x in enumerate(b)] for b, (f, c) in zip(u.basis, tilts)])
+    elif relation == "inside":
+        combos = draw(st.lists(st.lists(entries, min_size=u.dim, max_size=u.dim), max_size=3))
+        w = Subspace(n, [[sum((c * b[j] for c, b in zip(cs, u.basis)), Fraction(0)) for j in range(n)] for cs in combos])
+    elif relation == "around":
+        w = Subspace(n, list(u.basis) + draw(_span_rows(n, entries)))
+    elif relation == "equal":
+        w = Subspace(n, [[3 * x for x in b] for b in reversed(u.basis)])
+    else:
+        w = Subspace.zero(n) if relation == "zero" else Subspace.full(n)
+    return (u, w) if draw(st.booleans()) else (w, u)
+
+
 class TestIntegerSubspace:
     """Integer `Subspace` rows against the Fraction reference loops."""
+
+    @given(_zassenhaus_pair())
+    @example((Subspace.span([(1, I)], 2), Subspace.span([(2, 2 * I)], 2)))
+    @example((Subspace.span([(1, I)], 2), Subspace.span([(1, 0)], 2)))
+    @example((Subspace.span([(1, I, 0)], 3), Subspace.span([(1, 0, 0), (0, 1, 0)], 3)))
+    @example((Subspace.span([(1, 1)], 2), Subspace.span([(1, 0)], 2)))
+    @example((Subspace.zero(0), Subspace.full(0)))
+    @settings(max_examples=100, deadline=None)
+    def test_zassenhaus_matches_elimination(self, pair):
+        # nested pairs skip the elimination; every pair gives the subspaces
+        # the elimination gives, stored in the same canonical form
+        got = _sum_and_intersection.__wrapped__(*pair)
+        want = reference_sum_and_intersection(*pair)
+        for g, r in zip(got, want):
+            assert g == r and hash(g) == hash(r)
+            assert (g._rows, g._pivots) == (r._rows, r._pivots)
+            assert _stored(g) == _stored(r)
 
     @given(_span_pair())
     @example((2, [[Fraction(1, 10**12), 1]], [[1, 0]]))

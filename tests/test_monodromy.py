@@ -26,7 +26,7 @@ from weightfilt.document import (
     matrix_to_json,
     run_task,
 )
-from weightfilt.exact import Matrix, Subspace, image_of
+from weightfilt.exact import Matrix, Subspace, image_of, kernel_of
 from weightfilt.filtration import Filtration, step_value
 from weightfilt.monodromy import (
     NilpotentOperator,
@@ -160,6 +160,23 @@ class TestNilpotentOperator:
     def test_rejects_non_nilpotent(self):
         with pytest.raises(ValueError):
             NilpotentOperator(Matrix.identity(2))
+
+    @given(data=st.data(), n=st.one_of(nilpotent_matrices(max_dim=4), gaussian_nilpotent_matrices(max_dim=4)))
+    @settings(max_examples=60, deadline=None)
+    def test_image_memo_matches_fresh_images(self, data, n):
+        # the memo returns the image it computed first, equal to a fresh
+        # image under a power rebuilt from the matrix
+        op = NilpotentOperator(n)
+        d = n.rows
+        drawn = data.draw(st.lists(st.lists(st.integers(min_value=-2, max_value=2), min_size=d, max_size=d), max_size=2))
+        spaces = [Subspace.zero(d), Subspace.full(d), kernel_of(n), image_of(n), Subspace.span(drawn, d)]
+        spaces.append(spaces[-1].image_under(n))
+        for k in range(op.exponent + 1):
+            power = Matrix.identity(d) if k == 0 else n ** k
+            for s in spaces:
+                got = op.image(s, k)
+                assert got == s.image_under(power)
+                assert op.image(s, k) is got
 
     def test_kernel_chain_is_increasing(self):
         op = NilpotentOperator(JORDAN_3_PLUS_1)
@@ -466,7 +483,8 @@ def _relative_corpus(rng):
 
 def _squeeze_inputs(n, lfilt):
     """The arguments `relative_monodromy` gives `monodromy._squeeze`: the
-    forced data of each L-graded piece and the starting bounds."""
+    operator, the forced data of each L-graded piece and the starting
+    bounds."""
     op = NilpotentOperator(n)
     jumps = lfilt.jumps()
     bottoms = {k: lfilt.value_below(k) for k in jumps}
@@ -486,7 +504,7 @@ def _squeeze_inputs(n, lfilt):
         bound.update({ell: pre[(jump, ell)] for ell in range(lo, hi)})
         bound.update({hi: full, hi + 1: full})
         bounds.append(bound)
-    return n, lfilt, pre, forced, bounds[0], bounds[1], lo, hi
+    return op, lfilt, pre, forced, bounds[0], bounds[1], lo, hi
 
 
 def _squeeze_outcome(n, lfilt):
@@ -505,9 +523,9 @@ def test_bound_propagation_matches_reference():
     # the final verdict would survive it.
     split = {"pinned": 0, "open": 0, "refuted": 0}
     for n, lfilt in _relative_corpus(random.Random(2024)):
-        matrix, lfilt, pre, forced, lb, ub, lo, hi = _squeeze_inputs(n, lfilt)
-        refutation, want_lb, want_ub = _reference_squeeze(matrix, lfilt, pre, forced, lb, ub, lo, hi)
-        certificate = monodromy._squeeze(matrix, lfilt, pre, forced, lb, ub, lo, hi)
+        op, lfilt, pre, forced, lb, ub, lo, hi = _squeeze_inputs(n, lfilt)
+        refutation, want_lb, want_ub = _reference_squeeze(op.matrix, lfilt, pre, forced, lb, ub, lo, hi)
+        certificate = monodromy._squeeze(op, lfilt, pre, forced, lb, ub, lo, hi)
         got = None if certificate is None else (certificate.kind, certificate.level, certificate.at_jump)
         assert got == refutation
         if certificate is None:
